@@ -27,7 +27,7 @@
 use crate::contention::MEAN_GAPS;
 use elink_metric::Absolute;
 use elink_netsim::FairShareLink;
-use elink_workload::{Arrival, LoadAdmission, ServeOptions, WorkloadSim, WorkloadSpec};
+use elink_workload::{percentile, Arrival, LoadAdmission, ServeOptions, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
 
 /// Schema identifier of the `BENCH_admission.json` document.
@@ -82,15 +82,6 @@ fn preset(mean_gap: u64) -> (WorkloadSpec, f64) {
     (spec, 300.0)
 }
 
-/// Integer percentile over an ascending latency vector (nearest-rank).
-fn pct(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len() as u64).div_ceil(100).max(1) as usize;
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 /// Runs one cell: the cap-64 deployment at `mean_gap`, ladder armed or
 /// not.
 pub fn run_point(
@@ -135,8 +126,8 @@ pub fn run_point(
         degraded: run.metrics.counter("serve.degraded"),
         shed: run.metrics.counter("serve.shed"),
         exact,
-        served_p50: pct(&served, 50),
-        served_p99: pct(&served, 99),
+        served_p50: percentile(&served, 50),
+        served_p99: percentile(&served, 99),
         served_max: served.last().copied().unwrap_or(0),
         goodput_milli: exact.saturating_mul(1000) / run.sim_ticks.max(1),
         sim_ticks: run.sim_ticks,
@@ -304,15 +295,5 @@ mod tests {
         let json = admission_report_json(&[p]);
         assert!(json.contains("\"schema\":\"elink-admission/v1\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        assert_eq!(pct(&[], 99), 0);
-        assert_eq!(pct(&[7], 50), 7);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(pct(&v, 50), 50);
-        assert_eq!(pct(&v, 99), 99);
-        assert_eq!(pct(&v, 100), 100);
     }
 }

@@ -1,15 +1,6 @@
-//! Benchmarks and the machine-readable perf harness.
-//!
-//! Criterion benchmarks live in `benches/`:
-//!
-//! * `figures` — one Criterion benchmark per paper figure (quick presets of
-//!   the `elink-experiments` harness).
-//! * `clustering_algorithms` — head-to-head clustering benchmarks (ELink
-//!   implicit/explicit/unordered, spanning forest, hierarchical) across
-//!   network sizes.
-//! * `query_processing` — range/path query and index-build benchmarks.
-//! * `substrates` — simulator event throughput, routing-table builds,
-//!   AR/RLS fitting, spectral embedding.
+//! The machine-readable bench harness behind the `--check` gates of
+//! `ci.sh`. (Host-time performance is measured by the standalone
+//! `perfbench/` package, not here.)
 //!
 //! The [`report`] module backs two dev binaries:
 //!

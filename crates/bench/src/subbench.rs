@@ -21,7 +21,7 @@
 //! percentiles come from the per-client samples recorded at delivery.
 
 use elink_metric::{Absolute, Metric};
-use elink_workload::{expected_matches, ServeOptions, WorkloadSim, WorkloadSpec};
+use elink_workload::{expected_matches, percentile, ServeOptions, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
 
 /// Everything `sub_report` prints and serializes. All fields except
@@ -89,15 +89,6 @@ fn build(spec: &WorkloadSpec, delta: f64, n_nodes: usize) -> WorkloadSim {
         spec,
         ServeOptions::for_delta(delta),
     )
-}
-
-/// Nearest-rank percentile over an ascending slice (0 on empty).
-fn percentile(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len() as u64).div_ceil(100).max(1) as usize;
-    sorted[rank.min(sorted.len()) - 1]
 }
 
 /// Runs the three-way comparison for one preset scale.

@@ -142,12 +142,12 @@ mod tests {
     fn fifo_schedule_matches_engine_run() {
         let link = AsyncUniformLink { min: 1, max: 3 };
         let trace_a = Arc::new(Mutex::new(JsonlTrace::new(Vec::new())));
-        let mut plain = toy_sim(Box::new(link), 99);
+        let mut plain = toy_sim(link.into(), 99);
         plain.set_trace(Arc::clone(&trace_a));
         plain.run_to_completion();
 
         let trace_b = Arc::new(Mutex::new(JsonlTrace::new(Vec::new())));
-        let mut captured = toy_sim(Box::new(link), 99);
+        let mut captured = toy_sim(link.into(), 99);
         captured.set_trace(Arc::clone(&trace_b));
         let fifo = McSystem::new(captured, vec![]).run_fifo(1_000);
 
@@ -166,11 +166,11 @@ mod tests {
     /// Externals enter the FIFO schedule exactly like injected messages.
     #[test]
     fn fifo_schedule_matches_engine_run_with_injection() {
-        let mut plain = toy_sim(Box::new(SyncLink), 1);
+        let mut plain = toy_sim(SyncLink.into(), 1);
         plain.inject(4, 1, 77);
         plain.run_to_completion();
 
-        let captured = toy_sim(Box::new(SyncLink), 1);
+        let captured = toy_sim(SyncLink.into(), 1);
         let fifo = McSystem::new(captured, vec![(4, 1, 77)]).run_fifo(1_000);
         for (a, b) in plain.nodes().iter().zip(fifo.nodes()) {
             assert_eq!(a.seen, b.seen);

@@ -105,10 +105,10 @@ where
     /// contended ones.
     pub fn system(&self) -> McSystem<P> {
         let link: Box<dyn LinkModel> = match self.flow_capacity {
-            Some(capacity) => {
-                Box::new(FairShareLink::new(capacity).with_delay_cap(self.delay_bound))
-            }
-            None => Box::new(ScriptedLink::pristine(self.delay_bound)),
+            Some(capacity) => FairShareLink::new(capacity)
+                .with_delay_cap(self.delay_bound)
+                .into(),
+            None => ScriptedLink::pristine(self.delay_bound).into(),
         };
         let sim = self.build(link);
         McSystem::new(sim, self.externals.clone())
@@ -389,7 +389,7 @@ pub mod serving {
     /// move) with the same brute-force oracle the chaos suite uses.
     pub fn predicates() -> Vec<Box<dyn Predicate<ServeNode>>> {
         let feats = features();
-        let deployment = deploy(Box::new(elink_netsim::SyncLink));
+        let deployment = deploy(elink_netsim::SyncLink.into());
         let truths: Vec<Vec<NodeId>> = deployment
             .schedule()
             .templates

@@ -1,12 +1,13 @@
 //! The discrete-event engine: event queue, run loop, and the [`Ctx`] handle
 //! protocols use to interact with the network.
 //!
-//! The engine is link-model agnostic: every transmission is routed through
-//! the [`LinkModel`] in force, which decides delay,
-//! loss, and node liveness. Dropped messages are charged for the hops they
-//! traversed but never delivered; messages and timers addressed to a crashed
-//! node are silently lost (the node's protocol state freezes while it is
-//! down and resumes on recovery). A timer scheduled *before* an outage is
+//! The engine is link-model agnostic: every link-level transmission takes
+//! one per-hop step through the [`LinkModel`] in force — fault roll, bill,
+//! price (the drawn delay, or a flow when the link has a capacity) — and
+//! the link also decides node liveness. Dropped messages are charged for
+//! the hops they traversed but never delivered; messages and timers
+//! addressed to a crashed node are silently lost (the node's protocol
+//! state freezes while it is down and resumes on recovery). A timer scheduled *before* an outage is
 //! cleared even when the node is back up at the firing time — reboots lose
 //! volatile state (see [`LinkModel::crashed_in_window`]).
 //!
@@ -160,29 +161,40 @@ enum EventKind<M> {
     },
 }
 
-/// Continuation stored with each in-flight flow under a flow-model link:
-/// what the engine does when the transfer's service completes. Clonable
-/// (for `M: Clone`) so the model checker can snapshot in-flight flows.
+/// A multi-hop unicast message in flight, as the forward walk carries it
+/// from relay to relay.
+#[derive(Clone)]
+struct Relay<M> {
+    src: usize,
+    dst: usize,
+    msg: M,
+    kind: &'static str,
+    scalars: u64,
+    query: Option<QueryId>,
+}
+
+/// What one link-level transmission carries to its receiver, and what is
+/// stored with each in-flight flow under capacity pricing. Clonable (for
+/// `M: Clone`) so the model checker can snapshot in-flight flows.
 #[derive(Clone)]
 enum FlowJob<M> {
-    /// A single-hop protocol message: dispatch its delivery.
-    Deliver {
-        from: usize,
-        msg: M,
-        query: Option<QueryId>,
-    },
+    /// An event to dispatch at the receiver: a single-hop delivery or an
+    /// ARQ data/ack copy.
+    Event(EventKind<M>),
     /// One leg of a multi-hop unicast: deliver at `dst`, otherwise bill the
-    /// relay and chain the next leg.
-    Relay {
-        src: usize,
-        dst: usize,
-        msg: M,
-        kind: &'static str,
-        scalars: u64,
-        query: Option<QueryId>,
-    },
-    /// An ARQ data/ack copy: dispatch the wrapped engine event.
-    Arq(EventKind<M>),
+    /// relay and forward the next leg.
+    Relay(Relay<M>),
+}
+
+/// Fate of one link-level transmission (see [`Core::transmit`]).
+enum Hop {
+    /// The fault roll dropped it (counted in `net.drops.loss`).
+    Lost,
+    /// Fixed pricing: the transmission arrives at this tick.
+    Arrives(SimTime),
+    /// Capacity pricing: the job waits in the flow table, predicted to
+    /// finish at this tick.
+    Queued(SimTime),
 }
 
 /// A captured engine event: what the engine *would* have enqueued, handed
@@ -488,38 +500,175 @@ impl<M> Core<M> {
         }
     }
 
-    /// Rolls the link-fault dice for one flow-model transmission: the flow
-    /// path never consults [`LinkModel::hop`] for pricing, but a composed
-    /// fault link (capacity × loss × partition) still decides *whether* the
-    /// transmission survives. Pure [`crate::FairShareLink`] always delivers
-    /// without touching the RNG, so loss-free flow runs are byte-identical
-    /// to before this check existed.
-    fn flow_hop_drops(&mut self, from: usize, to: usize) -> bool {
-        matches!(
-            self.link.hop(from, to, self.now, &mut self.rng),
-            HopOutcome::Drop
-        )
+    /// Whether `node` is up at `time` under the link, and not forced dead by
+    /// the model checker's override.
+    fn alive(&self, node: usize, time: SimTime) -> bool {
+        !self.dead_override.contains(&node) && self.link.is_alive(node, time)
     }
 
-    /// Opens a flow `from → to` carrying `job` and schedules the resulting
-    /// tentative completions. Returns the new transfer's predicted finish
-    /// tick under current contention (the ARQ layer sizes RTOs from it).
-    fn flow_start(&mut self, from: usize, to: usize, scalars: u64, job: FlowJob<M>) -> SimTime {
-        let now = self.now;
-        let Some(table) = &mut self.flows else {
-            debug_assert!(false, "flow_start without a flow table");
-            return now + 1;
+    /// Worst-case ticks for one hop of a `scalars`-sized message: the link's
+    /// delay bound under fixed pricing; under capacity pricing the solo
+    /// service time, stretched to the largest predicted remaining sojourn
+    /// in flight when `contended`.
+    fn hop_bound(&self, contended: bool, scalars: u64) -> u64 {
+        match &self.flows {
+            Some(table) if contended => table
+                .horizon(self.now)
+                .max(table.uncontended_sojourn(scalars)),
+            Some(table) => table.uncontended_sojourn(scalars),
+            None => self.link.max_hop_delay(),
+        }
+    }
+
+    /// Worst-case ticks for one successful neighbor delivery: the hop bound
+    /// of a one-scalar message, through the full ARQ retry envelope when
+    /// reliable delivery is on.
+    fn delivery_bound(&self, contended: bool) -> u64 {
+        let hop = self.hop_bound(contended, 1);
+        match &self.arq {
+            Some(arq) => arq.config.worst_case_link_delivery(hop),
+            None => hop,
+        }
+    }
+
+    /// The per-hop step every link-level transmission takes — protocol
+    /// sends, unicast legs, ARQ data copies and acks alike. Rolls the link
+    /// faults ([`LinkModel::hop`]), bills the sender (and the query's
+    /// ledger when tagged), then prices the hop: a capacity link ignores
+    /// the drawn delay and takes `job` into the flow table; otherwise the
+    /// transmission arrives `delay` ticks after `t`, and an event job is
+    /// taken onto the queue at `to`. A fixed-priced unicast leg stays in
+    /// `job` (never moved per hop) for the forward walk to carry on.
+    // Forced inline: this runs once per hop of every message, and as an
+    // out-of-line call it made multi-hop unicast measurably slower.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn transmit(
+        &mut self,
+        from: usize,
+        to: usize,
+        t: SimTime,
+        kind: &'static str,
+        scalars: u64,
+        query: Option<QueryId>,
+        job: &mut Option<FlowJob<M>>,
+    ) -> Hop {
+        let outcome = self.link.hop(from, to, t, &mut self.rng);
+        self.costs.record_tx(from, kind, 1, scalars);
+        if let Some(qid) = query {
+            self.costs.attribute_query(qid, 1, scalars);
+        }
+        let HopOutcome::Deliver { delay } = outcome else {
+            self.metrics.inc("net.drops.loss");
+            return Hop::Lost;
         };
-        let FlowStarted {
-            predicted_finish,
-            resched,
-        } = table.start(from, to, scalars, now, job);
-        let active = table.active() as i64;
-        let peak = table.peak_active() as i64;
-        self.push_flow_resched(resched);
-        self.metrics.set_gauge("net.flows.active", active);
-        self.metrics.set_gauge("net.flows.peak", peak);
-        predicted_finish
+        if let Some(table) = &mut self.flows {
+            let Some(job) = job.take() else {
+                debug_assert!(false, "transmit without a job");
+                return Hop::Lost;
+            };
+            // The prediction reflects current contention; the ARQ layer
+            // sizes its RTOs from it.
+            let FlowStarted {
+                predicted_finish,
+                resched,
+            } = table.start(from, to, scalars, self.now, job);
+            let active = table.active() as i64;
+            let peak = table.peak_active() as i64;
+            self.push_flow_resched(resched);
+            self.metrics.set_gauge("net.flows.active", active);
+            self.metrics.set_gauge("net.flows.peak", peak);
+            return Hop::Queued(predicted_finish);
+        }
+        let at = t + delay;
+        if let Some(FlowJob::Event(event)) = job.take_if(|j| matches!(j, FlowJob::Event(_))) {
+            self.push(at, to, event);
+        }
+        Hop::Arrives(at)
+    }
+
+    /// A unicast leg from `src` to `dst` reaches relay `node` at `time`: a
+    /// dead relay swallows it, a live one records the reception. Returns
+    /// whether to forward.
+    fn relay_receives(
+        &mut self,
+        node: usize,
+        time: SimTime,
+        src: usize,
+        dst: usize,
+        query: Option<QueryId>,
+    ) -> bool {
+        if !self.alive(node, time) {
+            self.metrics.inc("net.drops.node_down");
+            self.trace(TraceEvent::Drop {
+                time,
+                from: src,
+                to: dst,
+                reason: DropReason::NodeDown,
+                query,
+            });
+            return false;
+        }
+        self.costs.record_rx(node);
+        true
+    }
+
+    /// Carries a unicast leg on from `cur` at tick `t`, one
+    /// [`Core::transmit`] per hop of the shortest path. Fixed pricing walks
+    /// the whole route now, drawing every hop delay at send time; capacity
+    /// pricing queues the next leg, and `Simulator::flow_relay` resumes the
+    /// walk when it completes.
+    fn forward(&mut self, mut cur: usize, mut t: SimTime, leg: Relay<M>) {
+        // Materialize the lazy table up front, then walk it through a
+        // cloned handle so the loop below can borrow `self` mutably.
+        self.network.routing();
+        let routing = Arc::clone(&self.network.routing);
+        let routing = routing.get().expect("routing table just built"); // simlint: allow(no-panic-in-protocol): populated by the routing() call two lines up, cannot fail
+        let (src, dst, query) = (leg.src, leg.dst, leg.query);
+        let (kind, scalars) = (leg.kind, leg.scalars);
+        let mut job = Some(FlowJob::Relay(leg));
+        loop {
+            let next = routing
+                .next_hop(cur, dst)
+                // simlint: allow(no-panic-in-protocol): the sender checked the destination is routable, so every prefix of the path is routable; a miss is engine corruption, not an injected fault
+                .expect("routing invariant: prefix of a known path");
+            match self.transmit(cur, next, t, kind, scalars, query, &mut job) {
+                Hop::Lost => {
+                    self.trace(TraceEvent::Drop {
+                        time: t,
+                        from: src,
+                        to: dst,
+                        reason: DropReason::Loss,
+                        query,
+                    });
+                    return;
+                }
+                Hop::Queued(_) => return,
+                Hop::Arrives(at) if next == dst => {
+                    // Final-hop reception is recorded at dispatch time,
+                    // where liveness is re-checked.
+                    if let Some(FlowJob::Relay(leg)) = job {
+                        let msg = leg.msg;
+                        self.push(
+                            at,
+                            dst,
+                            EventKind::Deliver {
+                                from: src,
+                                msg,
+                                query,
+                            },
+                        );
+                    }
+                    return;
+                }
+                Hop::Arrives(at) => {
+                    if !self.relay_receives(next, at, src, dst, query) {
+                        return;
+                    }
+                    (cur, t) = (next, at);
+                }
+            }
+        }
     }
 }
 
@@ -611,10 +760,6 @@ impl<M: Clone> Core<M> {
                 retx: true,
             });
         }
-        self.costs.record_tx(holder, billing_kind, 1, scalars);
-        if let Some(qid) = query {
-            self.costs.attribute_query(qid, 1, scalars);
-        }
         let data = EventKind::ArqData {
             seq,
             src,
@@ -626,36 +771,18 @@ impl<M: Clone> Core<M> {
             query,
             xfer,
         };
-        // RTO base: the static delay envelope for per-message links, the
-        // transfer's predicted sojourn under *current contention* for
-        // flow-model links — a congested link legitimately takes longer, and
-        // a static RTO there would retransmit into the very queue that is
-        // the cause of the delay.
-        let delay_estimate = if self.flows.is_some() {
-            if self.flow_hop_drops(holder, next) {
-                // The copy is lost before entering the queue; the RTO is
-                // sized from the contention envelope the retry will face.
-                self.metrics.inc("net.drops.loss");
-                let table = self.flows.as_ref().expect("checked above"); // simlint: allow(no-panic-in-protocol): flows.is_some() checked above, cannot fail
-                table
-                    .horizon(now)
-                    .max(table.uncontended_sojourn(scalars))
-                    .max(1)
-            } else {
-                let finish = self.flow_start(holder, next, scalars, FlowJob::Arq(data));
-                finish.saturating_sub(now).max(1)
-            }
-        } else {
-            match self.link.hop(holder, next, now, &mut self.rng) {
-                HopOutcome::Deliver { delay } => {
-                    self.push(now + delay, next, data);
-                }
-                HopOutcome::Drop => {
-                    self.metrics.inc("net.drops.loss");
-                }
-            }
-            self.link.max_hop_delay()
-        };
+        // RTO base: the static delay envelope under fixed pricing; under
+        // capacity pricing the transfer's predicted sojourn under *current
+        // contention* — a congested link legitimately takes longer, and a
+        // static RTO there would retransmit into the very queue that is the
+        // cause of the delay. A copy lost before entering the queue sizes
+        // the RTO from the contention envelope the retry will face.
+        let job = &mut Some(FlowJob::Event(data));
+        let delay_estimate =
+            match self.transmit(holder, next, now, billing_kind, scalars, query, job) {
+                Hop::Queued(finish) => finish.saturating_sub(now).max(1),
+                Hop::Lost | Hop::Arrives(_) => self.hop_bound(true, scalars),
+            };
         let mut rto = config.rto(attempt, delay_estimate);
         if config.jitter_max > 0 {
             rto += self.rng.gen_range(0..=config.jitter_max);
@@ -674,28 +801,12 @@ impl<M: Clone> Core<M> {
     /// Transmits a link-level ack `from → to` for `seq` (clearing slab slot
     /// `xfer` on arrival). Acks are billed under `net.ack` but are engine
     /// overhead, not logical messages: they are never traced and never
-    /// query-attributed.
+    /// query-attributed. Under capacity pricing acks ride the shared link
+    /// too (minimum one-scalar demand), so reverse-path contention delays
+    /// them honestly.
     fn arq_send_ack(&mut self, from: usize, to: usize, seq: u64, xfer: u32) {
-        let now = self.now;
-        self.costs.record_tx(from, KIND_ACK, 1, 0);
-        if self.flows.is_some() {
-            if self.flow_hop_drops(from, to) {
-                self.metrics.inc("net.drops.loss");
-                return;
-            }
-            // Acks ride the shared link too (minimum one-scalar demand), so
-            // reverse-path contention delays them honestly.
-            self.flow_start(from, to, 0, FlowJob::Arq(EventKind::ArqAck { seq, xfer }));
-            return;
-        }
-        match self.link.hop(from, to, now, &mut self.rng) {
-            HopOutcome::Deliver { delay } => {
-                self.push(now + delay, to, EventKind::ArqAck { seq, xfer });
-            }
-            HopOutcome::Drop => {
-                self.metrics.inc("net.drops.loss");
-            }
-        }
+        let job = &mut Some(FlowJob::Event(EventKind::ArqAck { seq, xfer }));
+        self.transmit(from, to, self.now, KIND_ACK, 0, None, job);
     }
 }
 
@@ -742,23 +853,15 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// under ARQ a message may legitimately arrive after several backoff
     /// rounds.
     ///
-    /// Under a flow-model link ([`crate::FairShareLink`]) the hop bound is
+    /// Under a link with a capacity ([`crate::FairShareLink`],
+    /// [`crate::LossyLink::with_capacity`]) the hop bound is
     /// *contention-aware*: the largest predicted remaining sojourn across
     /// all transfers currently in flight (never below the uncontended
     /// single-scalar service time). Deadline math layered on this — serving
     /// `coverage` budgets, recovery timeouts — therefore stretches honestly
     /// as the network congests instead of timing out into a queue.
     pub fn max_delivery_delay(&self) -> u64 {
-        let hop_bound = match &self.core.flows {
-            Some(table) => table
-                .horizon(self.core.now)
-                .max(table.uncontended_sojourn(1)),
-            None => self.core.link.max_hop_delay(),
-        };
-        match &self.core.arq {
-            Some(arq) => arq.config.worst_case_link_delivery(hop_bound),
-            None => hop_bound,
-        }
+        self.core.delivery_bound(true)
     }
 
     /// The *uncontended* counterpart of [`Ctx::max_delivery_delay`]: the
@@ -773,14 +876,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// compare current congestion against the idle envelope without any
     /// floating point (see `elink_workload::qos::admit_load`).
     pub fn nominal_delivery_delay(&self) -> u64 {
-        let hop_bound = match &self.core.flows {
-            Some(table) => table.uncontended_sojourn(1),
-            None => self.core.link.max_hop_delay(),
-        };
-        match &self.core.arq {
-            Some(arq) => arq.config.worst_case_link_delivery(hop_bound),
-            None => hop_bound,
-        }
+        self.core.delivery_bound(false)
     }
 
     /// Whether the engine is running the ARQ reliable-delivery sublayer.
@@ -791,7 +887,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// Whether `node` is up right now under the link model (and not forced
     /// dead by the model checker's override).
     pub fn is_alive(&self, node: usize) -> bool {
-        !self.core.dead_override.contains(&node) && self.core.link.is_alive(node, self.core.now)
+        self.core.alive(node, self.core.now)
     }
 
     /// Sends a single-hop message to a direct neighbor. Charged as one
@@ -868,46 +964,15 @@ impl<'a, M: Clone> Ctx<'a, M> {
             query,
             retx: false,
         });
-        if self.core.flows.is_some() {
-            self.core.costs.record_tx(from, kind, 1, scalars);
-            if let Some(qid) = query {
-                self.core.costs.attribute_query(qid, 1, scalars);
-            }
-            if self.core.flow_hop_drops(from, to) {
-                self.core.metrics.inc("net.drops.loss");
-                self.core.trace(TraceEvent::Drop {
-                    time: now,
-                    from,
-                    to,
-                    reason: DropReason::Loss,
-                    query,
-                });
-                return;
-            }
-            self.core
-                .flow_start(from, to, scalars, FlowJob::Deliver { from, msg, query });
-            return;
-        }
-        let outcome = self.core.link.hop(from, to, now, &mut self.core.rng);
-        self.core.costs.record_tx(from, kind, 1, scalars);
-        if let Some(qid) = query {
-            self.core.costs.attribute_query(qid, 1, scalars);
-        }
-        match outcome {
-            HopOutcome::Deliver { delay } => {
-                self.core
-                    .push(now + delay, to, EventKind::Deliver { from, msg, query });
-            }
-            HopOutcome::Drop => {
-                self.core.metrics.inc("net.drops.loss");
-                self.core.trace(TraceEvent::Drop {
-                    time: now,
-                    from,
-                    to,
-                    reason: DropReason::Loss,
-                    query,
-                });
-            }
+        let job = &mut Some(FlowJob::Event(EventKind::Deliver { from, msg, query }));
+        if let Hop::Lost = self.core.transmit(from, to, now, kind, scalars, query, job) {
+            self.core.trace(TraceEvent::Drop {
+                time: now,
+                from,
+                to,
+                reason: DropReason::Loss,
+                query,
+            });
         }
     }
 
@@ -996,105 +1061,16 @@ impl<'a, M: Clone> Ctx<'a, M> {
             query,
             retx: false,
         });
-        if self.core.flows.is_some() {
-            // Store-and-forward under contention: open a flow for the first
-            // leg; each leg's completion bills the relay and chains the
-            // next leg (see `Simulator::flow_relay`).
-            let Some(first) = self.core.network.routing().next_hop(src, dst) else {
-                debug_assert!(false, "routable destination without a next hop");
-                return false;
-            };
-            self.core.costs.record_tx(src, kind, 1, scalars);
-            if let Some(qid) = query {
-                self.core.costs.attribute_query(qid, 1, scalars);
-            }
-            if self.core.flow_hop_drops(src, first) {
-                self.core.metrics.inc("net.drops.loss");
-                self.core.trace(TraceEvent::Drop {
-                    time: now,
-                    from: src,
-                    to: dst,
-                    reason: DropReason::Loss,
-                    query,
-                });
-                return true;
-            }
-            self.core.flow_start(
-                src,
-                first,
-                scalars,
-                FlowJob::Relay {
-                    src,
-                    dst,
-                    msg,
-                    kind,
-                    scalars,
-                    query,
-                },
-            );
-            return true;
-        }
-        // Materialize the lazy table up front, then walk it through a
-        // cloned handle so the loop below can borrow `core` mutably.
-        self.core.network.routing();
-        let routing = Arc::clone(&self.core.network.routing);
-        let routing = routing.get().expect("routing table just built"); // simlint: allow(no-panic-in-protocol): populated by the routing() call two lines up, cannot fail
-        let mut cur = src;
-        let mut t = now;
-        loop {
-            let next = routing
-                .next_hop(cur, dst)
-                // simlint: allow(no-panic-in-protocol): hops() returned Some above, so every prefix of the path is routable; a miss is engine corruption, not an injected fault
-                .expect("routing invariant: prefix of a known path");
-            let outcome = self.core.link.hop(cur, next, t, &mut self.core.rng);
-            self.core.costs.record_tx(cur, kind, 1, scalars);
-            if let Some(qid) = query {
-                self.core.costs.attribute_query(qid, 1, scalars);
-            }
-            match outcome {
-                HopOutcome::Deliver { delay } => {
-                    t += delay;
-                    if next == dst {
-                        // Final-hop reception is recorded at dispatch time,
-                        // where liveness is re-checked.
-                        self.core.push(
-                            t,
-                            dst,
-                            EventKind::Deliver {
-                                from: src,
-                                msg,
-                                query,
-                            },
-                        );
-                        return true;
-                    }
-                    if !self.core.link.is_alive(next, t) {
-                        self.core.metrics.inc("net.drops.node_down");
-                        self.core.trace(TraceEvent::Drop {
-                            time: t,
-                            from: src,
-                            to: dst,
-                            reason: DropReason::NodeDown,
-                            query,
-                        });
-                        return true;
-                    }
-                    self.core.costs.record_rx(next);
-                    cur = next;
-                }
-                HopOutcome::Drop => {
-                    self.core.metrics.inc("net.drops.loss");
-                    self.core.trace(TraceEvent::Drop {
-                        time: t,
-                        from: src,
-                        to: dst,
-                        reason: DropReason::Loss,
-                        query,
-                    });
-                    return true;
-                }
-            }
-        }
+        let leg = Relay {
+            src,
+            dst,
+            msg,
+            kind,
+            scalars,
+            query,
+        };
+        self.core.forward(src, now, leg);
+        true
     }
 
     /// Hop distance to another node (`None` if unreachable).
@@ -1341,7 +1317,7 @@ impl<P: Protocol> Simulator<P> {
             self.flow_fire(time, node, flow, gen);
             return;
         }
-        if self.core.dead_override.contains(&node) || !self.core.link.is_alive(node, time) {
+        if !self.core.alive(node, time) {
             match &event_kind {
                 // Engine-internal ARQ bookkeeping is silent: the sender-side
                 // state is simply lost with the crashed radio.
@@ -1539,101 +1515,34 @@ impl<P: Protocol> Simulator<P> {
                 self.core.metrics.observe("net.flow.sojourn", sojourn);
                 self.core.metrics.set_gauge("net.flows.active", active);
                 match payload {
-                    FlowJob::Deliver { from, msg, query } => {
-                        self.dispatch_event(time, node, EventKind::Deliver { from, msg, query });
-                    }
-                    FlowJob::Relay {
-                        src,
-                        dst,
-                        msg,
-                        kind,
-                        scalars,
-                        query,
-                    } => {
-                        self.flow_relay(time, node, src, dst, msg, kind, scalars, query);
-                    }
-                    FlowJob::Arq(event) => {
-                        self.dispatch_event(time, node, event);
-                    }
+                    FlowJob::Event(event) => self.dispatch_event(time, node, event),
+                    FlowJob::Relay(leg) => self.flow_relay(time, node, leg),
                 }
             }
         }
     }
 
-    /// A unicast leg completed at `node` under the flow model: deliver if
-    /// this is the destination, otherwise bill the relay and chain the next
-    /// leg — the store-and-forward mirror of the per-message hop walk in
-    /// `unicast_internal`, with identical billing and drop semantics.
-    #[allow(clippy::too_many_arguments)]
-    fn flow_relay(
-        &mut self,
-        time: SimTime,
-        node: usize,
-        src: usize,
-        dst: usize,
-        msg: P::Msg,
-        kind: &'static str,
-        scalars: u64,
-        query: Option<QueryId>,
-    ) {
-        if node == dst {
+    /// A unicast leg completed at `node` under capacity pricing: deliver if
+    /// this is the destination, otherwise resume the forward walk — with
+    /// the same relay billing and drop semantics as the fixed-price walk.
+    fn flow_relay(&mut self, time: SimTime, node: usize, leg: Relay<P::Msg>) {
+        if node == leg.dst {
             // Final-hop reception: the Deliver arm re-checks liveness and
-            // records rx, exactly as the per-message path does.
-            self.dispatch_event(
-                time,
-                node,
-                EventKind::Deliver {
-                    from: src,
-                    msg,
-                    query,
-                },
-            );
+            // records rx, exactly as the fixed-price path does.
+            let deliver = EventKind::Deliver {
+                from: leg.src,
+                msg: leg.msg,
+                query: leg.query,
+            };
+            self.dispatch_event(time, node, deliver);
             return;
         }
-        if self.core.dead_override.contains(&node) || !self.core.link.is_alive(node, time) {
-            self.core.metrics.inc("net.drops.node_down");
-            self.core.trace(TraceEvent::Drop {
-                time,
-                from: src,
-                to: dst,
-                reason: DropReason::NodeDown,
-                query,
-            });
-            return;
+        if self
+            .core
+            .relay_receives(node, time, leg.src, leg.dst, leg.query)
+        {
+            self.core.forward(node, time, leg);
         }
-        self.core.costs.record_rx(node);
-        let Some(next) = self.core.network.routing().next_hop(node, dst) else {
-            debug_assert!(false, "relay without a route to dst");
-            return;
-        };
-        self.core.costs.record_tx(node, kind, 1, scalars);
-        if let Some(qid) = query {
-            self.core.costs.attribute_query(qid, 1, scalars);
-        }
-        if self.core.flow_hop_drops(node, next) {
-            self.core.metrics.inc("net.drops.loss");
-            self.core.trace(TraceEvent::Drop {
-                time,
-                from: src,
-                to: dst,
-                reason: DropReason::Loss,
-                query,
-            });
-            return;
-        }
-        self.core.flow_start(
-            node,
-            next,
-            scalars,
-            FlowJob::Relay {
-                src,
-                dst,
-                msg,
-                kind,
-                scalars,
-                query,
-            },
-        );
     }
 
     /// Current simulated time.
@@ -1674,7 +1583,7 @@ impl<P: Protocol> Simulator<P> {
     /// model checker's dead-node override, see
     /// [`Simulator::set_dead_override`]).
     pub fn is_alive(&self, node: usize) -> bool {
-        !self.core.dead_override.contains(&node) && self.core.link.is_alive(node, self.core.now)
+        self.core.alive(node, self.core.now)
     }
 
     /// Replaces the set of nodes forced dead for liveness queries,
@@ -2646,7 +2555,7 @@ mod tests {
 
     // ---- flow-model (FairShareLink) integration ------------------------
 
-    use crate::flow::FairShareLink;
+    use crate::link::FairShareLink;
 
     #[test]
     fn flow_unlimited_matches_sync_flood_timing() {
@@ -2873,5 +2782,65 @@ mod tests {
             .map(|e| e.describe(0))
             .collect();
         assert_eq!(h1, h2, "restored flow state replays identically");
+    }
+
+    /// At boot every node pings each neighbor and unicasts to every node
+    /// exactly three hops away; each unicast is answered once over three
+    /// hops. No timers and no self-sends, so every billed hop is either
+    /// received or dropped.
+    struct Chatter;
+
+    impl Protocol for Chatter {
+        type Msg = u8;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u8>) {
+            for to in ctx.neighbors().to_vec() {
+                ctx.send(to as usize, 0, "ping", 2);
+            }
+            for dst in 0..ctx.n() {
+                if ctx.hops_to(dst) == Some(3) {
+                    ctx.unicast(dst, 1, "ask", 3);
+                }
+            }
+        }
+
+        fn on_message(&mut self, from: usize, msg: u8, ctx: &mut Ctx<'_, u8>) {
+            if msg == 1 {
+                ctx.unicast(from, 2, "answer", 1);
+            }
+        }
+    }
+
+    /// Per-hop conservation on a composed link (loss plus a relay that
+    /// crashes after boot), under fixed and capacity pricing alike: every
+    /// billed hop ends as a reception, a loss, or a node-down drop.
+    #[test]
+    fn billed_hops_are_received_or_dropped() {
+        for capacity in [None, Some(2)] {
+            let mut link = LossyLink::new(1, 2)
+                .with_drop_prob(0.15)
+                .with_crash(5, 1, None);
+            if let Some(c) = capacity {
+                link = link.with_capacity(c);
+            }
+            let network = SimNetwork::new(Topology::grid(4, 4));
+            let nodes = (0..16).map(|_| Chatter).collect();
+            let mut sim = Simulator::new(network, link, 3, nodes);
+            assert_eq!(sim.flow_model(), capacity.is_some());
+            sim.run_to_completion();
+            let costs = sim.costs();
+            let billed: u64 = costs.nodes().iter().map(|n| n.tx_packets).sum();
+            let received: u64 = costs.nodes().iter().map(|n| n.rx_packets).sum();
+            let loss = sim.metrics().counter("net.drops.loss");
+            let node_down = sim.metrics().counter("net.drops.node_down");
+            assert!(loss > 0 && node_down > 0, "both drop paths exercised");
+            assert!(costs.kind("answer").packets > 0, "unicasts got through");
+            assert_eq!(
+                billed,
+                received + loss + node_down,
+                "capacity {capacity:?}: billed {billed}, received {received}, \
+                 lost {loss}, node-down {node_down}"
+            );
+        }
     }
 }

@@ -1,17 +1,17 @@
-//! Flow-level contention-aware link model: [`FairShareLink`] and the
-//! engine-side [`FlowTable`] that prices transmissions under capacity
-//! sharing.
+//! Capacity pricing: the engine-side [`FlowTable`] that prices every
+//! transmission on a link with a capacity
+//! ([`LossyLink::with_capacity`](crate::LossyLink::with_capacity), or the
+//! [`FairShareLink`](crate::FairShareLink) preset).
 //!
-//! Every other [`LinkModel`](crate::LinkModel) prices each message
-//! independently: a hop costs a delay drawn once at send time, no matter
-//! how much other traffic crosses the same link. That flatters exactly the
-//! regime the serving benchmarks care about — heavy load never queues.
-//! `FairShareLink` is the physically honest third model: each *directed
-//! link* has an integer capacity (payload scalars per tick) that is shared
-//! **max-min fairly** across all transfers in flight on that link. With
-//! equal-weight transfers on a single resource, the max-min allocation is
-//! the equal split `capacity / k`, so a transfer's service rate drops as
-//! the link gets busier and recovers as competitors finish.
+//! Without a capacity a hop costs a delay drawn once at send time, no
+//! matter how much other traffic crosses the same link. That flatters
+//! exactly the regime the serving benchmarks care about — heavy load never
+//! queues. With a capacity each *directed link* carries an integer number
+//! of payload scalars per tick, shared **max-min fairly** across all
+//! transfers in flight on that link. With equal-weight transfers on a
+//! single resource, the max-min allocation is the equal split
+//! `capacity / k`, so a transfer's service rate drops as the link gets
+//! busier and recovers as competitors finish.
 //!
 //! # Mechanics (all integer, deterministic)
 //!
@@ -24,7 +24,7 @@
 //! 1. **settles** elapsed progress (`rate × elapsed`, exact integer
 //!    arithmetic) against each flow's remaining demand,
 //! 2. **recomputes** each unfinished flow's predicted completion
-//!    `now + ⌈remaining / rate⌉ + base_delay`, and
+//!    `now + ⌈remaining / rate⌉`, and
 //! 3. **reschedules** a *tentative completion event* for every flow whose
 //!    prediction moved, bumping the flow's generation counter so the
 //!    previously queued event is recognized as stale and ignored when it
@@ -39,166 +39,30 @@
 //!
 //! A flow whose prediction *did not* move keeps its original queued event —
 //! and therefore its original queue position. This is what makes the
-//! degenerate cases collapse exactly onto the per-message models (see
-//! [`FairShareLink::unlimited`] and the differential proptests): with
-//! infinite capacity every prediction is `now + 1` forever, nothing is
-//! ever invalidated, and the event stream is byte-identical to
-//! [`AsyncUniformLink`](crate::AsyncUniformLink) with zero jitter.
+//! degenerate case collapse exactly onto fixed pricing (see
+//! [`FairShareLink::unlimited`](crate::FairShareLink::unlimited) and the
+//! differential proptests): with infinite capacity every prediction is
+//! `now + 1` forever, nothing is ever invalidated, and the event stream is
+//! byte-identical to [`SyncLink`](crate::SyncLink).
 //!
 //! # What the engine does with it
 //!
-//! When the installed link model advertises [`FlowParams`] (via
-//! [`LinkModel::flow_params`](crate::LinkModel::flow_params)), the engine
-//! stops calling [`hop`](crate::LinkModel::hop) and instead opens a flow
-//! per link-level transmission — protocol sends, unicast relay legs, ARQ
-//! data copies and acks alike. Completion dispatches the delivery through
-//! the ordinary event path. Contention is observable: `net.queued_ms`
-//! counts sojourn ticks in excess of the uncontended service time,
-//! `net.flow.sojourn` histograms total per-transfer latency, and
-//! [`Simulator::link_utilization`](crate::Simulator::link_utilization)
+//! When the installed link advertises [`FlowParams`] (via
+//! [`LinkModel::flow_params`](crate::LinkModel::flow_params)), the engine's
+//! per-hop step still rolls the fault dice with
+//! [`hop`](crate::LinkModel::hop) but ignores its delay, and opens a flow
+//! per surviving link-level transmission — protocol sends, unicast relay
+//! legs, ARQ data copies and acks alike. Completion dispatches the delivery
+//! through the ordinary event path. Contention is observable:
+//! `net.queued_ms` counts sojourn ticks in excess of the uncontended
+//! service time, `net.flow.sojourn` histograms total per-transfer latency,
+//! and [`Simulator::link_utilization`](crate::Simulator::link_utilization)
 //! exposes per-link busy time and bytes served. See `docs/SUBSTRATE.md`
 //! for the full substrate contract.
 
 use crate::engine::SimTime;
-use crate::link::{FlowParams, HopOutcome, LinkModel};
-use rand::rngs::StdRng;
+use crate::link::FlowParams;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Flow-level fair-bandwidth-sharing link model (loss-free, crash-free).
-///
-/// Each directed link `(from, to)` owns `capacity` payload scalars per tick
-/// of bandwidth, shared max-min (= equally, for equal-weight flows) among
-/// the transfers in flight on it. Messages therefore queue behind each
-/// other instead of sailing through independently — under offered load
-/// beyond capacity, sojourn times grow without bound, which is precisely
-/// the knee the `contention_report` bench measures.
-///
-/// # Examples
-///
-/// ```
-/// use elink_netsim::{FairShareLink, LinkModel};
-///
-/// // 8 scalars/tick per directed link, no propagation delay beyond the
-/// // one-tick service floor.
-/// let link = FairShareLink::new(8);
-/// assert!(link.flow_params().is_some());
-/// assert!(link.is_deterministic());
-///
-/// // A solo 8-scalar message needs one tick of service; two concurrent
-/// // ones share the link and each needs two ticks. (The engine computes
-/// // this through its flow table — `hop()` is never consulted for
-/// // flow-model links.)
-/// let params = link.flow_params().unwrap();
-/// assert_eq!(params.capacity_milli, 8_000);
-/// ```
-///
-/// With [`FairShareLink::with_base_delay`] every transfer additionally
-/// pays a fixed propagation tail after its service completes; with
-/// [`FairShareLink::with_delay_cap`] the advertised
-/// [`max_hop_delay`](LinkModel::max_hop_delay) envelope is tuned (it is a
-/// *nominal* timeout envelope — queueing delay is unbounded under
-/// overload, so protocols should prefer the contention-aware
-/// [`Ctx::max_delivery_delay`](crate::Ctx::max_delivery_delay)).
-#[derive(Debug, Clone, Copy)]
-pub struct FairShareLink {
-    /// Link capacity in payload scalars per tick (≥ 1).
-    capacity: u64,
-    /// Fixed propagation tail added after a transfer's service completes.
-    base_delay: u64,
-    /// Advertised `max_hop_delay` envelope (nominal, not a hard bound).
-    delay_cap: u64,
-}
-
-impl FairShareLink {
-    /// A fair-sharing link of `capacity` payload scalars per tick per
-    /// directed link, zero propagation tail, and the default nominal delay
-    /// envelope of 1024 ticks.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero — a zero-capacity link can never
-    /// deliver anything, so constructing one is a configuration bug, not a
-    /// runtime condition.
-    pub fn new(capacity: u64) -> Self {
-        assert!(
-            capacity >= 1,
-            "FairShareLink capacity must be >= 1 scalar/tick (zero-capacity links cannot deliver)"
-        );
-        FairShareLink {
-            capacity,
-            base_delay: 0,
-            delay_cap: 1024,
-        }
-    }
-
-    /// Effectively infinite capacity: every transfer is served in the
-    /// one-tick floor regardless of concurrency. Useful as the degenerate
-    /// baseline — byte-identical to
-    /// [`AsyncUniformLink`](crate::AsyncUniformLink) with `min == max == 1`
-    /// (zero jitter), which the differential proptests pin.
-    pub fn unlimited() -> Self {
-        // Divided by 1000 so capacity_milli cannot overflow u64.
-        FairShareLink::new(u64::MAX / 1000)
-    }
-
-    /// Adds a fixed propagation tail: a transfer is delivered `base_delay`
-    /// ticks after its (contended) service completes.
-    pub fn with_base_delay(mut self, base_delay: u64) -> Self {
-        self.base_delay = base_delay;
-        self.delay_cap = self.delay_cap.max(base_delay + 1);
-        self
-    }
-
-    /// Overrides the nominal [`max_hop_delay`](LinkModel::max_hop_delay)
-    /// envelope (must exceed the base delay). This value feeds legacy
-    /// static timeout math only; queueing delay under overload is
-    /// unbounded, and contention-aware protocols should consult
-    /// [`Ctx::max_delivery_delay`](crate::Ctx::max_delivery_delay).
-    pub fn with_delay_cap(mut self, delay_cap: u64) -> Self {
-        assert!(
-            delay_cap > self.base_delay,
-            "delay cap must exceed the base delay"
-        );
-        self.delay_cap = delay_cap;
-        self
-    }
-
-    /// Link capacity in payload scalars per tick.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-}
-
-impl LinkModel for FairShareLink {
-    fn max_hop_delay(&self) -> u64 {
-        self.delay_cap
-    }
-
-    /// Uncontended fallback only: the engine never consults `hop()` for a
-    /// link that advertises [`FlowParams`] — transmissions go through the
-    /// flow table instead.
-    fn hop(&self, _from: usize, _to: usize, _now: SimTime, _rng: &mut StdRng) -> HopOutcome {
-        HopOutcome::Deliver {
-            delay: self.base_delay.max(1),
-        }
-    }
-
-    fn is_deterministic(&self) -> bool {
-        true
-    }
-
-    fn flow_params(&self) -> Option<FlowParams> {
-        Some(FlowParams {
-            capacity_milli: self.capacity.saturating_mul(1000),
-            base_delay: self.base_delay,
-        })
-    }
-}
-
-impl From<FairShareLink> for Box<dyn LinkModel> {
-    fn from(link: FairShareLink) -> Self {
-        Box::new(link)
-    }
-}
 
 /// A tentative-completion event's address: which flow, and which
 /// *generation* of that flow's prediction. The engine queues
@@ -254,7 +118,7 @@ pub struct LinkUtil {
 struct Flow<T> {
     /// Directed link the flow occupies.
     link: (u32, u32),
-    /// Remaining service demand (milli-scalars); 0 = in propagation tail.
+    /// Remaining service demand (milli-scalars).
     remaining_milli: u64,
     /// Generation of the currently valid tentative-completion event.
     gen: u32,
@@ -262,7 +126,7 @@ struct Flow<T> {
     predicted_finish: SimTime,
     /// Tick the flow was started.
     enqueued: SimTime,
-    /// Service + propagation ticks the transfer would take alone.
+    /// Service ticks the transfer would take alone.
     uncontended: u64,
     /// Engine continuation delivered on completion.
     payload: Option<T>,
@@ -280,7 +144,7 @@ struct LinkState {
 
 /// Engine-side state of the flow model: all in-flight transfers, grouped
 /// by directed link, with settle/recompute/reschedule bookkeeping. Owned
-/// by the `Simulator` when the installed [`LinkModel`] advertises
+/// by the `Simulator` when the installed [`LinkModel`](crate::LinkModel) advertises
 /// [`FlowParams`]; generic over the engine's continuation payload `T`.
 ///
 /// Clonable (for `T: Clone`) so the model checker can snapshot the whole
@@ -344,13 +208,12 @@ impl<T> FlowTable<T> {
     /// Recomputes predicted completions for every unfinished flow on
     /// `link` and returns reschedules for those whose prediction moved
     /// (bumping their generation, which invalidates the queued event).
-    /// Flows already in their propagation tail (`remaining == 0`) keep
-    /// their prediction and their queued event untouched.
+    /// Flows already drained (`remaining == 0`: their completion event
+    /// fires this tick) keep their prediction and their queued event.
     fn recompute(
         flows: &mut [Option<Flow<T>>],
         state: &LinkState,
         rate: u64,
-        base_delay: u64,
         now: SimTime,
         out: &mut Vec<FlowResched>,
     ) {
@@ -362,7 +225,7 @@ impl<T> FlowTable<T> {
                 continue;
             }
             let service = flow.remaining_milli.div_ceil(rate);
-            let finish = now + service + base_delay;
+            let finish = now + service;
             if finish != flow.predicted_finish {
                 flow.gen = flow.gen.wrapping_add(1);
                 flow.predicted_finish = finish;
@@ -386,8 +249,7 @@ impl<T> FlowTable<T> {
     ) -> FlowStarted {
         let link = (from as u32, to as u32);
         let size_milli = scalars.max(1).saturating_mul(1000);
-        let solo = size_milli.div_ceil(self.params.capacity_milli);
-        let uncontended = solo.max(1) + self.params.base_delay;
+        let uncontended = size_milli.div_ceil(self.params.capacity_milli).max(1);
 
         let state = self.links.entry(link).or_default();
         if state.flows.is_empty() {
@@ -432,14 +294,7 @@ impl<T> FlowTable<T> {
 
         let rate = (self.params.capacity_milli / state.flows.len().max(1) as u64).max(1);
         let mut resched = Vec::new();
-        Self::recompute(
-            &mut self.flows,
-            state,
-            rate,
-            self.params.base_delay,
-            now,
-            &mut resched,
-        );
+        Self::recompute(&mut self.flows, state, rate, now, &mut resched);
         let predicted_finish = self.flows[slot as usize]
             .as_ref()
             .map(|f| f.predicted_finish)
@@ -491,14 +346,7 @@ impl<T> FlowTable<T> {
         let rate = (self.params.capacity_milli / state.flows.len().max(1) as u64).max(1);
         let mut resched = Vec::new();
         let state = self.links.get(&link).expect("still present"); // simlint: allow(no-panic-in-protocol): entry persists for utilization stats
-        Self::recompute(
-            &mut self.flows,
-            state,
-            rate,
-            self.params.base_delay,
-            now,
-            &mut resched,
-        );
+        Self::recompute(&mut self.flows, state, rate, now, &mut resched);
 
         let sojourn = now.saturating_sub(flow.enqueued);
         FlowFired::Done {
@@ -528,10 +376,10 @@ impl<T> FlowTable<T> {
     }
 
     /// Uncontended sojourn of a `scalars`-sized transfer: solo service
-    /// time plus the propagation tail, never below one tick.
+    /// time, never below one tick.
     pub fn uncontended_sojourn(&self, scalars: u64) -> u64 {
         let size_milli = scalars.max(1).saturating_mul(1000);
-        size_milli.div_ceil(self.params.capacity_milli).max(1) + self.params.base_delay
+        size_milli.div_ceil(self.params.capacity_milli).max(1)
     }
 
     /// Number of transfers currently in flight.
@@ -570,11 +418,7 @@ impl<T> FlowTable<T> {
     pub fn canonical(&self, now: SimTime) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "fl[c{} b{}",
-            self.params.capacity_milli, self.params.base_delay
-        );
+        let _ = write!(out, "fl[c{}", self.params.capacity_milli);
         for (&(from, to), state) in &self.links {
             if state.flows.is_empty() {
                 continue;
@@ -611,22 +455,15 @@ impl<T> FlowTable<T> {
 mod tests {
     use super::*;
 
-    fn table(capacity: u64, base_delay: u64) -> FlowTable<&'static str> {
+    fn table(capacity: u64) -> FlowTable<&'static str> {
         FlowTable::new(FlowParams {
             capacity_milli: capacity * 1000,
-            base_delay,
         })
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be >= 1")]
-    fn zero_capacity_link_is_rejected() {
-        let _ = FairShareLink::new(0);
-    }
-
-    #[test]
     fn solo_flow_serves_at_full_capacity() {
-        let mut t = table(4, 0);
+        let mut t = table(4);
         // 8 scalars at 4/tick: 2 ticks of service.
         let started = t.start(0, 1, 8, 10, "a");
         assert_eq!(started.predicted_finish, 12);
@@ -650,7 +487,7 @@ mod tests {
 
     #[test]
     fn two_flows_share_the_link_equally() {
-        let mut t = table(2, 0);
+        let mut t = table(2);
         // Two 2-scalar transfers, same tick: alone each takes 1 tick;
         // sharing, each gets 1 scalar/tick and takes 2.
         let a = t.start(0, 1, 2, 0, "a");
@@ -679,7 +516,7 @@ mod tests {
 
     #[test]
     fn late_arrival_slows_only_the_remaining_work() {
-        let mut t = table(2, 0);
+        let mut t = table(2);
         // a: 4 scalars at 2/tick = 2 ticks solo, starting at 0.
         let a = t.start(0, 1, 4, 0, "a");
         assert_eq!(a.predicted_finish, 2);
@@ -697,7 +534,7 @@ mod tests {
 
     #[test]
     fn departure_speeds_up_survivors() {
-        let mut t = table(2, 0);
+        let mut t = table(2);
         // a: 2 scalars, b: 6 scalars, both at tick 0. Shared at 1/tick:
         // a done at 2; b then owns the link (4 milli-k left at 2/tick).
         t.start(0, 1, 2, 0, "a");
@@ -716,7 +553,7 @@ mod tests {
 
     #[test]
     fn links_are_independent() {
-        let mut t = table(1, 0);
+        let mut t = table(1);
         let a = t.start(0, 1, 1, 0, "a");
         let b = t.start(0, 2, 1, 0, "b");
         let c = t.start(2, 1, 1, 0, "c");
@@ -728,24 +565,9 @@ mod tests {
     }
 
     #[test]
-    fn base_delay_is_a_serial_tail() {
-        let mut t = table(2, 3);
-        let a = t.start(0, 1, 2, 0, "a");
-        assert_eq!(a.predicted_finish, 4, "1 tick service + 3 ticks tail");
-        match t.fire(0, 1, 4) {
-            FlowFired::Done {
-                sojourn, queued, ..
-            } => {
-                assert_eq!(sojourn, 4);
-                assert_eq!(queued, 0, "tail is part of the uncontended time");
-            }
-            FlowFired::Stale => panic!("valid"),
-        }
-    }
-
-    #[test]
     fn unlimited_capacity_never_invalidates() {
-        let mut t = FlowTable::new(FairShareLink::unlimited().flow_params().unwrap());
+        let link = crate::LossyLink::from(crate::FairShareLink::unlimited());
+        let mut t = FlowTable::new(crate::LinkModel::flow_params(&link).unwrap());
         let a = t.start(0, 1, 50, 7, "a");
         assert_eq!(a.predicted_finish, 8, "service floor is one tick");
         let b = t.start(0, 1, 50, 7, "b");
@@ -761,7 +583,7 @@ mod tests {
 
     #[test]
     fn flow_arriving_and_finishing_within_one_tick_takes_the_floor() {
-        let mut t = table(1000, 0);
+        let mut t = table(1000);
         // A 1-scalar transfer on a 1000-scalar/tick link: service rounds
         // up to the one-tick floor — a flow never finishes the tick it
         // arrives in (delay ≥ 1 engine invariant).
@@ -775,7 +597,7 @@ mod tests {
 
     #[test]
     fn stale_generations_never_validate_across_slot_reuse() {
-        let mut t = table(1, 0);
+        let mut t = table(1);
         t.start(0, 1, 1, 0, "a");
         assert!(matches!(t.fire(0, 1, 1), FlowFired::Done { .. }));
         // Slot 0 is recycled; its generation watermark advances, so the
@@ -788,7 +610,7 @@ mod tests {
 
     #[test]
     fn horizon_tracks_the_latest_predicted_finish() {
-        let mut t = table(1, 0);
+        let mut t = table(1);
         assert_eq!(t.horizon(0), 0);
         t.start(0, 1, 3, 0, "a");
         t.start(0, 1, 3, 0, "b");
@@ -799,7 +621,7 @@ mod tests {
 
     #[test]
     fn utilization_counters_accumulate() {
-        let mut t = table(2, 0);
+        let mut t = table(2);
         t.start(0, 1, 2, 0, "a");
         t.start(0, 1, 2, 0, "b");
         assert!(matches!(t.fire(0, 2, 2), FlowFired::Done { .. }));

@@ -22,29 +22,29 @@
 //!       ▼              ▼                ▼               ▼ phase spans
 //!  ┌──────────┐  ┌───────────┐   ┌─────────────┐  ┌─────────────┐
 //!  │ link     │  │ stats     │   │ trace       │  │ metrics     │
-//!  │ SyncLink │  │ CostBook  │   │ TraceSink   │  │ Metrics     │
-//!  │ AsyncUni…│  │ ├ per-kind│   │ ├ RingBuffer│  │ ├ Histogram │
-//!  │ LossyLink│  │ │ (§8.2)  │   │ ├ Counting  │  │ └ PhaseStats│
-//!  │ (+crash, │  │ └ per-node│   │ └ Jsonl     │  │  (sim-time  │
-//!  │  loss,   │  │   tx/rx/  │   │  (optional) │  │   only)     │
-//!  │  partition)  │   energy  │   └─────────────┘  └─────────────┘
+//!  │ LossyLink│  │ CostBook  │   │ TraceSink   │  │ Metrics     │
+//!  │ (delay,  │  │ ├ per-kind│   │ ├ RingBuffer│  │ ├ Histogram │
+//!  │  loss,   │  │ │ (§8.2)  │   │ ├ Counting  │  │ └ PhaseStats│
+//!  │  crash,  │  │ └ per-node│   │ └ Jsonl     │  │  (sim-time  │
+//!  │  cut,    │  │   tx/rx/  │   │  (optional) │  │   only)     │
+//!  │  capacity)  │   energy  │   └─────────────┘  └─────────────┘
 //!  └──────────┘  └───────────┘
 //! ```
 //!
 //! * [`engine`] owns the event queue and dispatch loop. Protocols implement
-//!   [`Protocol`] and interact through [`Ctx`]. One hop = one `LinkModel`
-//!   decision; multi-hop [`Ctx::unicast`] walks the shortest path hop by
-//!   hop.
-//! * [`link`] decides per-hop fate: [`SyncLink`] (one tick per hop, §4),
-//!   [`AsyncUniformLink`] (bounded uniform delays, §5), and [`LossyLink`]
-//!   (drop probability, scheduled node crash/recover windows, partition
-//!   masks) — all seeded and deterministic. The legacy [`DelayModel`] enum
-//!   remains as config shorthand and converts `Into<Box<dyn LinkModel>>`.
-//! * [`flow`] is the contention-aware fourth model: [`FairShareLink`]
-//!   gives each directed link an integer capacity shared max-min-fairly
-//!   across in-flight transfers. A link advertising
-//!   [`link::FlowParams`] switches the engine from per-message `hop()`
-//!   pricing to a [`FlowTable`] of tentative-completion events —
+//!   [`Protocol`] and interact through [`Ctx`]. Every link-level
+//!   transmission takes one per-hop step — fault roll, bill, price;
+//!   multi-hop [`Ctx::unicast`] walks the shortest path hop by hop.
+//! * [`link`] decides per-hop fate through one model, [`LossyLink`]:
+//!   bounded uniform delay, drop probability, scheduled node
+//!   crash/recover windows, partition masks and an optional capacity —
+//!   all seeded and deterministic. [`SyncLink`] (one tick per hop, §4),
+//!   [`AsyncUniformLink`] (bounded uniform delays, §5), [`FairShareLink`]
+//!   (capacity only) and the legacy [`DelayModel`] enum are presets that
+//!   convert into it. [`ScriptedLink`] replays model-checker schedules.
+//! * [`flow`] prices transmissions on a link with a capacity: each
+//!   directed link's capacity is shared max-min-fairly across in-flight
+//!   transfers through a [`FlowTable`] of tentative-completion events —
 //!   messages queue behind each other, [`Ctx::max_delivery_delay`]
 //!   stretches with the backlog, and `net.queued_ms` /
 //!   [`Simulator::link_utilization`] expose the congestion. See
@@ -88,9 +88,9 @@
 pub mod canon;
 /// Event queue, dispatch loop and the `Ctx` protocol handle.
 pub mod engine;
-/// Flow-level contention model: fair-shared link capacity (`FairShareLink`).
+/// Capacity pricing: fair-shared link capacity (`FlowTable`).
 pub mod flow;
-/// Per-hop link models: sync, bounded-async, lossy, scripted.
+/// The link model (`LossyLink`), its presets, and the scripted replay link.
 pub mod link;
 /// Deterministic counters, gauges, histograms and phase spans.
 pub mod metrics;
@@ -105,10 +105,10 @@ pub mod trace;
 
 pub use canon::{canon_f64, fnv1a, Canonicalize};
 pub use engine::{Ctx, FlowsSnapshot, McEvent, Protocol, QueryId, SimNetwork, SimTime, Simulator};
-pub use flow::{FairShareLink, FlowTable, LinkUtil};
+pub use flow::{FlowTable, LinkUtil};
 pub use link::{
-    AsyncUniformLink, DelayModel, FlowParams, HopOutcome, LinkModel, LossyLink, ScriptedLink,
-    SyncLink,
+    AsyncUniformLink, DelayModel, FairShareLink, FlowParams, HopOutcome, LinkModel, LossyLink,
+    ScriptedLink, SyncLink,
 };
 pub use metrics::{Histogram, Metrics, PhaseGuard, PhaseStats};
 pub use reliable::{ArqConfig, KIND_ACK, KIND_RETX};

@@ -1,11 +1,19 @@
-//! Link-layer models: per-hop delay, loss, node crash/recovery, partitions.
+//! The link layer: per-hop delay, loss, node crash/recovery, partitions
+//! and optional capacity.
 //!
 //! A [`LinkModel`] decides, for every attempted hop, whether the transmission
 //! is delivered (and after what delay) or dropped, and whether a node is up
 //! at a given time. All decisions are driven by the engine's seeded RNG, so a
-//! run is fully deterministic per seed. The legacy [`DelayModel`] enum is
-//! kept as configuration shorthand and converts into the two loss-free
-//! models via `From`.
+//! run is fully deterministic per seed.
+//!
+//! [`LossyLink`] is the one link model of a simulated network: a bounded
+//! uniform delay × independent loss × crash and partition schedule ×
+//! optional fair-shared capacity. The paper's two settings and the pure
+//! contention link are presets that convert into it: [`SyncLink`] (one tick
+//! per hop, §4), [`AsyncUniformLink`] (bounded uniform delays, §5),
+//! [`FairShareLink`] (capacity only) and the legacy [`DelayModel`] enum.
+//! [`ScriptedLink`] is the only other implementation, for model-checker
+//! capture and counterexample replay.
 
 use crate::engine::SimTime;
 use rand::rngs::StdRng;
@@ -24,17 +32,14 @@ pub enum HopOutcome {
     Drop,
 }
 
-/// Parameters a flow-model link advertises to the engine (see
-/// [`LinkModel::flow_params`] and [`crate::FairShareLink`]).
+/// Parameters a capacity-priced link advertises to the engine (see
+/// [`LinkModel::flow_params`] and [`LossyLink::with_capacity`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowParams {
     /// Per-directed-link capacity in **milli-scalars per tick** (≥ 1): a
     /// message of `s` payload scalars carries `max(1, s) × 1000`
     /// milli-scalars of service demand.
     pub capacity_milli: u64,
-    /// Fixed propagation tail (ticks) added after a transfer's service
-    /// completes.
-    pub base_delay: u64,
 }
 
 /// Per-hop behaviour of the network: latency, loss, and node liveness.
@@ -75,121 +80,12 @@ pub trait LinkModel {
         false
     }
 
-    /// `Some` iff this is a flow-level (capacity-sharing) model. When a
-    /// link advertises flow parameters, the engine stops calling
-    /// [`LinkModel::hop`] and instead prices every transmission through
-    /// its [`FlowTable`](crate::FlowTable) — messages share the link's
-    /// capacity and queue behind each other. Per-message models keep the
-    /// default `None`.
+    /// `Some` iff the link has a capacity. The engine then prices every
+    /// transmission through its [`FlowTable`](crate::FlowTable) — messages
+    /// share the link's capacity and queue behind each other — and uses
+    /// [`LinkModel::hop`] only for the fault roll, ignoring its delay.
     fn flow_params(&self) -> Option<FlowParams> {
         None
-    }
-}
-
-/// Per-hop delay model (legacy configuration shorthand; loss-free).
-#[derive(Debug, Clone, Copy)]
-pub enum DelayModel {
-    /// Synchronous network: every hop takes exactly one tick.
-    Sync,
-    /// Asynchronous network: every hop takes a uniform random delay in
-    /// `[min, max]` ticks (inclusive), sampled deterministically from the
-    /// simulator seed.
-    Async {
-        /// Minimum hop delay (≥ 1).
-        min: u64,
-        /// Maximum hop delay (≥ min).
-        max: u64,
-    },
-}
-
-impl DelayModel {
-    /// The largest possible hop delay under this model.
-    pub fn max_hop_delay(&self) -> u64 {
-        match self {
-            DelayModel::Sync => 1,
-            DelayModel::Async { max, .. } => *max,
-        }
-    }
-}
-
-/// Synchronous loss-free links: every hop takes exactly one tick (§4's
-/// "worst-case delay over a hop is a single time unit").
-///
-/// # Examples
-///
-/// ```
-/// use elink_netsim::{HopOutcome, LinkModel, SyncLink};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(0);
-/// // Every hop delivers after exactly one tick, for every pair and time.
-/// assert_eq!(SyncLink.hop(3, 7, 42, &mut rng), HopOutcome::Deliver { delay: 1 });
-/// assert_eq!(SyncLink.max_hop_delay(), 1);
-/// assert!(SyncLink.is_deterministic());
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SyncLink;
-
-impl LinkModel for SyncLink {
-    fn max_hop_delay(&self) -> u64 {
-        1
-    }
-
-    fn hop(&self, _from: usize, _to: usize, _now: SimTime, _rng: &mut StdRng) -> HopOutcome {
-        HopOutcome::Deliver { delay: 1 }
-    }
-
-    fn is_deterministic(&self) -> bool {
-        true
-    }
-}
-
-/// Asynchronous loss-free links: uniform random per-hop delay in
-/// `[min, max]` ticks (§5's bounded asynchronous setting).
-///
-/// # Examples
-///
-/// ```
-/// use elink_netsim::{AsyncUniformLink, HopOutcome, LinkModel};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let link = AsyncUniformLink::new(2, 7);
-/// let mut rng = StdRng::seed_from_u64(1);
-/// // Each hop draws a delay from the seeded RNG, always within bounds.
-/// match link.hop(0, 1, 0, &mut rng) {
-///     HopOutcome::Deliver { delay } => assert!((2..=7).contains(&delay)),
-///     HopOutcome::Drop => unreachable!("loss-free model never drops"),
-/// }
-/// assert_eq!(link.max_hop_delay(), 7);
-/// // With min == max the draw is degenerate: a fixed-delay network.
-/// let fixed = AsyncUniformLink::new(3, 3);
-/// assert_eq!(fixed.hop(0, 1, 0, &mut rng), HopOutcome::Deliver { delay: 3 });
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct AsyncUniformLink {
-    /// Minimum hop delay (≥ 1).
-    pub min: u64,
-    /// Maximum hop delay (≥ min).
-    pub max: u64,
-}
-
-impl AsyncUniformLink {
-    /// Uniform delays in `[min, max]` ticks.
-    pub fn new(min: u64, max: u64) -> Self {
-        assert!(min >= 1 && max >= min, "need 1 <= min <= max");
-        AsyncUniformLink { min, max }
-    }
-}
-
-impl LinkModel for AsyncUniformLink {
-    fn max_hop_delay(&self) -> u64 {
-        self.max
-    }
-
-    fn hop(&self, _from: usize, _to: usize, _now: SimTime, rng: &mut StdRng) -> HopOutcome {
-        HopOutcome::Deliver {
-            delay: rng.gen_range(self.min..=self.max),
-        }
     }
 }
 
@@ -213,9 +109,10 @@ struct Partition {
     until: Option<SimTime>,
 }
 
-/// Lossy/faulty links: bounded uniform delays plus independent per-hop drop
-/// probability, scheduled node crashes, and an optional partition window.
-/// All randomness comes from the engine's seeded RNG.
+/// The link model: bounded uniform delays plus independent per-hop drop
+/// probability, scheduled node crashes, an optional partition window and an
+/// optional per-link capacity. All randomness comes from the engine's
+/// seeded RNG; a link with a fixed delay and no loss draws none.
 ///
 /// # Examples
 ///
@@ -232,18 +129,24 @@ struct Partition {
 /// assert!(link.is_alive(5, 20));    // recovered (exclusive end)
 /// // State armed before the outage is invalidated by it:
 /// assert!(link.crashed_in_window(5, 0, 15));
+/// // Random delays and loss consume the RNG; a fixed loss-free link does not.
+/// assert!(!link.is_deterministic());
+/// assert!(LossyLink::new(1, 1).with_crash(5, 10, None).is_deterministic());
 /// ```
 #[derive(Debug, Clone)]
 pub struct LossyLink {
     delay_min: u64,
     delay_max: u64,
+    /// Advertised [`LinkModel::max_hop_delay`]: `delay_max`, or the nominal
+    /// timeout envelope a [`FairShareLink`] preset sets (queueing delay
+    /// under overload is unbounded, so a capacity link has no hard bound).
+    delay_cap: u64,
     drop_prob: f64,
     crashes: Vec<Crash>,
     partition: Option<Partition>,
     /// When set, the link also advertises [`FlowParams`]: transmissions are
     /// priced through fair capacity sharing while loss, crash and partition
-    /// faults keep deciding *whether* each transmission survives — the
-    /// composed contention × fault model of the chaos grid.
+    /// faults keep deciding *whether* each transmission survives.
     capacity: Option<u64>,
 }
 
@@ -257,6 +160,7 @@ impl LossyLink {
         LossyLink {
             delay_min,
             delay_max,
+            delay_cap: delay_max,
             drop_prob: 0.0,
             crashes: Vec::new(),
             partition: None,
@@ -265,18 +169,18 @@ impl LossyLink {
     }
 
     /// Shares each directed link's bandwidth max-min fairly at `capacity`
-    /// payload scalars per tick, like [`crate::FairShareLink`], while the
-    /// loss/crash/partition faults configured on this link stay in force.
-    /// The engine then prices every transmission through the flow table and
-    /// rolls the fault dice separately per transmission, so queueing
-    /// collapse and message loss compose in one run.
+    /// payload scalars per tick, while the loss/crash/partition faults
+    /// configured on this link stay in force. The engine then prices every
+    /// transmission through the flow table and rolls the fault dice
+    /// separately per transmission, so queueing collapse and message loss
+    /// compose in one run.
     ///
     /// # Panics
     /// Panics if `capacity` is zero (a zero-capacity link cannot deliver).
     pub fn with_capacity(mut self, capacity: u64) -> Self {
         assert!(
             capacity >= 1,
-            "LossyLink capacity must be >= 1 scalar/tick (zero-capacity links cannot deliver)"
+            "link capacity must be >= 1 scalar/tick (zero-capacity links cannot deliver)"
         );
         self.capacity = Some(capacity);
         self
@@ -327,12 +231,12 @@ impl LossyLink {
 
 impl LinkModel for LossyLink {
     fn max_hop_delay(&self) -> u64 {
-        self.delay_max
+        self.delay_cap
     }
 
     fn hop(&self, from: usize, to: usize, now: SimTime, rng: &mut StdRng) -> HopOutcome {
         // Always draw the delay first so loss-free and lossy runs with the
-        // same seed share the delay stream.
+        // same seed share the delay stream (capacity links ignore it).
         let delay = if self.delay_min == self.delay_max {
             self.delay_min
         } else {
@@ -360,11 +264,182 @@ impl LinkModel for LossyLink {
             .any(|c| c.node == node && c.from > after && c.from <= upto)
     }
 
+    fn is_deterministic(&self) -> bool {
+        self.delay_min == self.delay_max && self.drop_prob == 0.0
+    }
+
     fn flow_params(&self) -> Option<FlowParams> {
         self.capacity.map(|capacity| FlowParams {
             capacity_milli: capacity.saturating_mul(1000),
-            base_delay: 0,
         })
+    }
+}
+
+/// Preset: synchronous loss-free links, every hop takes exactly one tick
+/// (§4's "worst-case delay over a hop is a single time unit").
+///
+/// # Examples
+///
+/// ```
+/// use elink_netsim::{HopOutcome, LinkModel, LossyLink, SyncLink};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let link = LossyLink::from(SyncLink);
+/// let mut rng = StdRng::seed_from_u64(0);
+/// // Every hop delivers after exactly one tick, for every pair and time.
+/// assert_eq!(link.hop(3, 7, 42, &mut rng), HopOutcome::Deliver { delay: 1 });
+/// assert_eq!(link.max_hop_delay(), 1);
+/// assert!(link.is_deterministic());
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SyncLink;
+
+impl From<SyncLink> for LossyLink {
+    fn from(_: SyncLink) -> Self {
+        LossyLink::new(1, 1)
+    }
+}
+
+/// Preset: asynchronous loss-free links with a uniform random per-hop delay
+/// in `[min, max]` ticks (§5's bounded asynchronous setting).
+///
+/// # Examples
+///
+/// ```
+/// use elink_netsim::{AsyncUniformLink, HopOutcome, LinkModel, LossyLink};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let link = LossyLink::from(AsyncUniformLink::new(2, 7));
+/// let mut rng = StdRng::seed_from_u64(1);
+/// // Each hop draws a delay from the seeded RNG, always within bounds.
+/// match link.hop(0, 1, 0, &mut rng) {
+///     HopOutcome::Deliver { delay } => assert!((2..=7).contains(&delay)),
+///     HopOutcome::Drop => unreachable!("loss-free model never drops"),
+/// }
+/// assert_eq!(link.max_hop_delay(), 7);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct AsyncUniformLink {
+    /// Minimum hop delay (≥ 1).
+    pub min: u64,
+    /// Maximum hop delay (≥ min).
+    pub max: u64,
+}
+
+impl AsyncUniformLink {
+    /// Uniform delays in `[min, max]` ticks.
+    pub fn new(min: u64, max: u64) -> Self {
+        assert!(min >= 1 && max >= min, "need 1 <= min <= max");
+        AsyncUniformLink { min, max }
+    }
+}
+
+impl From<AsyncUniformLink> for LossyLink {
+    fn from(link: AsyncUniformLink) -> Self {
+        LossyLink::new(link.min, link.max)
+    }
+}
+
+/// Preset: loss-free, crash-free links whose only parameter is a capacity.
+///
+/// Each directed link `(from, to)` owns `capacity` payload scalars per tick
+/// of bandwidth, shared max-min (= equally, for equal-weight flows) among
+/// the transfers in flight on it (see [`crate::flow`]). Messages therefore
+/// queue behind each other instead of sailing through independently: under
+/// offered load beyond capacity, sojourn times grow without bound, which is
+/// the knee the `contention_report` bench measures. Converts into a
+/// [`LossyLink`] with a one-tick delay (no RNG) and the given capacity.
+///
+/// # Examples
+///
+/// ```
+/// use elink_netsim::{FairShareLink, LinkModel, LossyLink};
+///
+/// // 8 scalars/tick per directed link.
+/// let link = LossyLink::from(FairShareLink::new(8));
+/// assert_eq!(link.flow_params().unwrap().capacity_milli, 8_000);
+/// assert!(link.is_deterministic());
+/// // The advertised hop delay is a nominal 1024-tick envelope.
+/// assert_eq!(link.max_hop_delay(), 1024);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct FairShareLink {
+    /// Link capacity in payload scalars per tick (≥ 1).
+    capacity: u64,
+    /// Advertised `max_hop_delay` envelope (nominal, not a hard bound).
+    delay_cap: u64,
+}
+
+impl FairShareLink {
+    /// A fair-sharing link of `capacity` payload scalars per tick per
+    /// directed link and the default nominal delay envelope of 1024 ticks.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero — a zero-capacity link can never
+    /// deliver anything, so constructing one is a configuration bug, not a
+    /// runtime condition.
+    pub fn new(capacity: u64) -> Self {
+        assert!(
+            capacity >= 1,
+            "FairShareLink capacity must be >= 1 scalar/tick (zero-capacity links cannot deliver)"
+        );
+        FairShareLink {
+            capacity,
+            delay_cap: 1024,
+        }
+    }
+
+    /// Effectively infinite capacity: every transfer is served in the
+    /// one-tick floor regardless of concurrency — the same run as
+    /// [`SyncLink`], which the differential proptests pin.
+    pub fn unlimited() -> Self {
+        // Divided by 1000 so capacity_milli cannot overflow u64.
+        FairShareLink::new(u64::MAX / 1000)
+    }
+
+    /// Overrides the nominal [`max_hop_delay`](LinkModel::max_hop_delay)
+    /// envelope (≥ 1). This value feeds legacy static timeout math only;
+    /// queueing delay under overload is unbounded, and contention-aware
+    /// protocols should consult
+    /// [`Ctx::max_delivery_delay`](crate::Ctx::max_delivery_delay).
+    pub fn with_delay_cap(mut self, delay_cap: u64) -> Self {
+        assert!(delay_cap >= 1, "delay cap must be at least 1");
+        self.delay_cap = delay_cap;
+        self
+    }
+}
+
+impl From<FairShareLink> for LossyLink {
+    fn from(link: FairShareLink) -> Self {
+        LossyLink {
+            delay_cap: link.delay_cap,
+            ..LossyLink::new(1, 1).with_capacity(link.capacity)
+        }
+    }
+}
+
+/// Per-hop delay model (legacy configuration shorthand; loss-free).
+#[derive(Debug, Clone, Copy)]
+pub enum DelayModel {
+    /// Synchronous network: every hop takes exactly one tick.
+    Sync,
+    /// Asynchronous network: every hop takes a uniform random delay in
+    /// `[min, max]` ticks (inclusive), sampled deterministically from the
+    /// simulator seed.
+    Async {
+        /// Minimum hop delay (≥ 1).
+        min: u64,
+        /// Maximum hop delay (≥ min).
+        max: u64,
+    },
+}
+
+impl From<DelayModel> for LossyLink {
+    fn from(delay: DelayModel) -> Self {
+        match delay {
+            DelayModel::Sync => SyncLink.into(),
+            DelayModel::Async { min, max } => LossyLink::new(min, max),
+        }
     }
 }
 
@@ -460,54 +535,47 @@ impl From<ScriptedLink> for Box<dyn LinkModel> {
     }
 }
 
-impl From<DelayModel> for Box<dyn LinkModel> {
-    fn from(delay: DelayModel) -> Self {
-        match delay {
-            DelayModel::Sync => Box::new(SyncLink),
-            DelayModel::Async { min, max } => Box::new(AsyncUniformLink::new(min, max)),
-        }
-    }
-}
-
-impl From<SyncLink> for Box<dyn LinkModel> {
-    fn from(link: SyncLink) -> Self {
-        Box::new(link)
-    }
-}
-
-impl From<AsyncUniformLink> for Box<dyn LinkModel> {
-    fn from(link: AsyncUniformLink) -> Self {
-        Box::new(link)
-    }
-}
-
 impl From<LossyLink> for Box<dyn LinkModel> {
     fn from(link: LossyLink) -> Self {
         Box::new(link)
     }
 }
 
+/// The presets box as the [`LossyLink`] they configure.
+macro_rules! box_preset {
+    ($($preset:ty),*) => {$(
+        impl From<$preset> for Box<dyn LinkModel> {
+            fn from(preset: $preset) -> Self {
+                Box::new(LossyLink::from(preset))
+            }
+        }
+    )*};
+}
+
+box_preset!(SyncLink, AsyncUniformLink, FairShareLink, DelayModel);
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn sync_link_is_unit_delay_and_lossless() {
+        let link = LossyLink::from(SyncLink);
         let mut rng = StdRng::seed_from_u64(0);
         for t in 0..50 {
             assert_eq!(
-                SyncLink.hop(0, 1, t, &mut rng),
+                link.hop(0, 1, t, &mut rng),
                 HopOutcome::Deliver { delay: 1 }
             );
         }
-        assert_eq!(SyncLink.max_hop_delay(), 1);
-        assert!(SyncLink.is_alive(3, 100));
+        assert_eq!(link.max_hop_delay(), 1);
+        assert!(link.is_alive(3, 100));
     }
 
     #[test]
     fn async_link_stays_in_bounds() {
-        let link = AsyncUniformLink::new(2, 7);
+        let link = LossyLink::from(AsyncUniformLink::new(2, 7));
         let mut rng = StdRng::seed_from_u64(1);
         for t in 0..500 {
             match link.hop(0, 1, t, &mut rng) {
@@ -559,7 +627,7 @@ mod tests {
         // Other nodes are unaffected.
         assert!(!link.crashed_in_window(3, 0, 100));
         // Loss-free models never crash.
-        assert!(!SyncLink.crashed_in_window(0, 0, u64::MAX));
+        assert!(!LossyLink::from(SyncLink).crashed_in_window(0, 0, u64::MAX));
     }
 
     #[test]
@@ -594,6 +662,44 @@ mod tests {
         assert_eq!(sync.max_hop_delay(), 1);
         let asym: Box<dyn LinkModel> = DelayModel::Async { min: 1, max: 5 }.into();
         assert_eq!(asym.max_hop_delay(), 5);
+    }
+
+    #[test]
+    fn determinism_is_derived_from_delay_spread_and_loss() {
+        assert!(LossyLink::from(SyncLink).is_deterministic());
+        assert!(LossyLink::from(FairShareLink::new(4)).is_deterministic());
+        assert!(LossyLink::new(1, 1)
+            .with_crash(2, 5, None)
+            .is_deterministic());
+        assert!(!LossyLink::new(1, 2).is_deterministic());
+        assert!(!LossyLink::new(1, 1).with_drop_prob(0.1).is_deterministic());
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be >= 1")]
+    fn zero_capacity_link_is_rejected() {
+        let _ = FairShareLink::new(0);
+    }
+
+    #[test]
+    fn fair_share_preset_keeps_unit_delay_and_nominal_envelope() {
+        let link = LossyLink::from(FairShareLink::new(4));
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut untouched = rng.clone();
+        assert_eq!(
+            link.hop(0, 1, 0, &mut rng),
+            HopOutcome::Deliver { delay: 1 }
+        );
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "no RNG draw");
+        assert_eq!(link.max_hop_delay(), 1024);
+        let capped = LossyLink::from(FairShareLink::new(4).with_delay_cap(7));
+        assert_eq!(capped.max_hop_delay(), 7);
+        assert_eq!(
+            capped.flow_params(),
+            Some(FlowParams {
+                capacity_milli: 4000
+            })
+        );
     }
 
     #[test]

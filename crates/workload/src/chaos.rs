@@ -30,7 +30,7 @@
 use crate::engine::{expected_matches, ServeOptions, WorkloadSim};
 use crate::gen::WorkloadSpec;
 use elink_metric::{Feature, Metric};
-use elink_netsim::{ArqConfig, FairShareLink, LinkModel, LossyLink, SimTime};
+use elink_netsim::{ArqConfig, FairShareLink, LossyLink, SimTime};
 use elink_topology::{NodeId, Topology};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -55,10 +55,11 @@ pub struct FaultSpec {
     pub partition: Option<(SimTime, SimTime)>,
     /// Optional per-link capacity (scalars per tick). `Some(c)` prices
     /// every transmission through the fair-share flow model *and* arms the
-    /// load-admission ladder. With every other knob zero the cell runs the
-    /// RNG-free [`FairShareLink`] (a pure load cell); combined with
-    /// drop/crash/partition it runs a capacity-priced [`LossyLink`] — a
-    /// *composed* cell where congestion, loss and failover interact.
+    /// load-admission ladder. With every other knob zero the cell's
+    /// [`LossyLink`] comes from the RNG-free [`FairShareLink`] preset (a
+    /// pure load cell); combined with drop/crash/partition it is a
+    /// `LossyLink::new(1, 2)` with the capacity added — a *composed* cell
+    /// where congestion, loss and failover interact.
     pub capacity: Option<u64>,
 }
 
@@ -80,12 +81,12 @@ impl FaultSpec {
         picked.into_iter().collect()
     }
 
-    fn link(&self, n: usize) -> Box<dyn LinkModel> {
+    fn link(&self, n: usize) -> LossyLink {
         let loss_free = self.drop_milli == 0 && self.crash_milli == 0 && self.partition.is_none();
         if let Some(capacity) = self.capacity {
             if loss_free {
-                // Pure load cell: the RNG-free FairShareLink, so the run is
-                // byte-identical to the contention bench's transport.
+                // Pure load cell: the RNG-free FairShareLink preset, so the
+                // run is byte-identical to the contention bench's transport.
                 return FairShareLink::new(capacity).into();
             }
         }
@@ -103,7 +104,7 @@ impl FaultSpec {
             let side: Vec<bool> = (0..n).map(|v| 2 * v < n).collect();
             link = link.with_partition(side, from, Some(until));
         }
-        link.into()
+        link
     }
 }
 

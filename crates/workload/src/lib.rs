@@ -47,5 +47,5 @@ pub use gen::{build_schedule, Arrival, Schedule, Template, WorkloadSpec};
 pub use plan::{ChildEntry, NodePlan, ServingPlan};
 pub use protocol::{CompletedQuery, ServeMsg, ServeNode, Shared};
 pub use qos::{AdaptiveWindow, Admission, LoadAdmission, QosConfig};
-pub use report::{LatencySummary, SloReport, SCHEMA};
+pub use report::{percentile, LatencySummary, SloReport, SCHEMA};
 pub use subscribe::{ClientSub, PushVerdict, SubState};

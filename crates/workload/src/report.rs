@@ -76,12 +76,14 @@ pub struct SloReport {
     pub wall_ms: u64,
 }
 
-fn percentile(sorted: &[u64], p: u64) -> u64 {
+/// Nearest-rank percentile over an ascending slice: the smallest sample
+/// with at least `p`% of the samples at or below it (0 when empty).
+pub fn percentile(sorted: &[u64], p: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = (p * (sorted.len() as u64 - 1) + 50) / 100;
-    sorted[rank as usize]
+    let rank = (p * sorted.len() as u64).div_ceil(100).max(1) as usize;
+    sorted[rank.min(sorted.len()) - 1]
 }
 
 impl SloReport {
@@ -203,12 +205,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_interpolates_by_nearest_rank() {
+    fn percentile_is_nearest_rank() {
         let v = [10, 20, 30, 40, 50];
         assert_eq!(percentile(&v, 50), 30);
         assert_eq!(percentile(&v, 0), 10);
         assert_eq!(percentile(&v, 100), 50);
         assert_eq!(percentile(&[], 50), 0);
+        assert_eq!(percentile(&[7], 50), 7);
+        // Even count: the median is the lower middle sample, not a
+        // rounded interpolation towards the upper one.
+        assert_eq!(percentile(&[10, 20, 30, 40], 50), 20);
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&v, 50), 50);
+        assert_eq!(percentile(&v, 99), 99);
+        assert_eq!(percentile(&v, 100), 100);
     }
 
     /// `to_json` splices `wall_ms` into the deterministic view by string
