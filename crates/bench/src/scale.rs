@@ -9,8 +9,8 @@
 //!   [`SchedulerKind`](elink_netsim::SchedulerKind)s; the run digests (per-kind `CostBook`, per-node
 //!   tallies, assignments, quiescence time) must be byte-identical, which
 //!   is the determinism contract of the calendar-queue refactor;
-//! * `wall_ms` is recorded per backend, so the report itself carries the
-//!   heap-baseline speedup at each size.
+//! * wall time is measured per backend and printed in the gate's summary
+//!   (never in the document: single-shot wall clocks do not reproduce).
 //!
 //! Fleets are unit-spacing grids (`O(n)` construction) with a smooth
 //! two-frequency feature field, clustered by implicit-mode ELink over a
@@ -27,10 +27,8 @@ use elink_topology::Topology;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Grid sides of the full preset: 1k, 4k, 16k and 64k nodes.
-pub const FULL_SIDES: [usize; 4] = [32, 64, 128, 256];
-/// Grid sides of the quick preset used by `--check` and CI smokes.
-pub const QUICK_SIDES: [usize; 2] = [32, 64];
+/// Grid sides of the committed sweep: 1k, 4k, 16k and 64k nodes.
+pub const SIDES: [usize; 4] = [32, 64, 128, 256];
 
 /// One fleet size's measurements.
 #[derive(Debug, Clone)]
@@ -52,9 +50,10 @@ pub struct ScalePoint {
     /// High-water mark of simultaneously live scheduler events.
     pub peak_live_events: usize,
     /// Wall-clock of the heap-backend run (the pre-refactor baseline),
-    /// in milliseconds.
+    /// in milliseconds. Summary only; not part of the document.
     pub wall_ms_heap: u64,
-    /// Wall-clock of the calendar-backend run, in milliseconds.
+    /// Wall-clock of the calendar-backend run, in milliseconds. Summary
+    /// only; not part of the document.
     pub wall_ms_calendar: u64,
 }
 
@@ -188,55 +187,74 @@ pub fn run_point(side: usize) -> ScalePoint {
     }
 }
 
-/// Runs the bench over the given grid sides (see [`FULL_SIDES`] /
-/// [`QUICK_SIDES`]).
+/// Runs the bench over the given grid sides (see [`SIDES`]).
 pub fn run_scale(sides: &[usize]) -> Vec<ScalePoint> {
     sides.iter().map(|&side| run_point(side)).collect()
 }
 
-fn point_json(p: &ScalePoint, include_wall: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"n\":{},\"clusters\":{},\"sim_time\":{},\"messages\":{},\"bytes\":{}",
-        p.n, p.clusters, p.sim_time, p.messages, p.bytes
-    ));
-    out.push_str(&format!(
-        ",\"msgs_per_node\":{:.3},\"bytes_per_node\":{:.3},\"peak_live_events\":{}",
-        p.msgs_per_node, p.bytes_per_node, p.peak_live_events
-    ));
-    if include_wall {
-        out.push_str(&format!(
-            ",\"wall_ms_heap\":{},\"wall_ms_calendar\":{},\"speedup\":{:.2}",
-            p.wall_ms_heap,
-            p.wall_ms_calendar,
-            p.wall_ms_heap as f64 / (p.wall_ms_calendar.max(1)) as f64
-        ));
-    }
-    out.push('}');
-    out
+fn point_json(p: &ScalePoint) -> String {
+    format!(
+        concat!(
+            "{{\"n\":{},\"clusters\":{},\"sim_time\":{},\"messages\":{},\"bytes\":{},",
+            "\"msgs_per_node\":{:.3},\"bytes_per_node\":{:.3},\"peak_live_events\":{}}}"
+        ),
+        p.n,
+        p.clusters,
+        p.sim_time,
+        p.messages,
+        p.bytes,
+        p.msgs_per_node,
+        p.bytes_per_node,
+        p.peak_live_events
+    )
 }
 
-fn report(points: &[ScalePoint], include_wall: bool) -> String {
-    let mut out = String::from("{\"schema\":\"elink-scale/v1\",\"results\":[\n");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&point_json(p, include_wall));
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// The full `BENCH_scale.json` payload (wall-clock and speedup included).
+/// The `BENCH_scale.json` document. Two same-seed runs must agree
+/// byte-for-byte.
 pub fn scale_report_json(points: &[ScalePoint]) -> String {
-    report(points, true)
+    let rows: Vec<String> = points.iter().map(point_json).collect();
+    format!(
+        "{{\"schema\":\"elink-scale/v2\",\"results\":[\n{}\n]}}\n",
+        rows.join(",\n")
+    )
 }
 
-/// The determinism view: identical minus every wall-clock-derived field.
-/// Two same-seed runs must agree byte-for-byte.
-pub fn scale_deterministic_json(points: &[ScalePoint]) -> String {
-    report(points, false)
+/// The `scale` gate: every size in [`SIDES`]. Its acceptance clauses are
+/// the assertions inside [`run_point`] — heap ≡ calendar digests and an
+/// unbuilt routing table at every size — so a clean run is the proof.
+pub struct ScaleGate;
+
+impl crate::Gate for ScaleGate {
+    type Report = Vec<ScalePoint>;
+    const NAME: &'static str = "scale";
+
+    fn run(&self) -> Vec<ScalePoint> {
+        run_scale(&SIDES)
+    }
+
+    fn summary(&self, points: &Vec<ScalePoint>) -> String {
+        let rows: Vec<String> = points
+            .iter()
+            .map(|p| {
+                format!(
+                    "n={:<6} clusters={:<5} msgs/node={:<8.2} bytes/node={:<9.2} peak_events={:<7} heap={}ms calendar={}ms ({:.2}x)",
+                    p.n,
+                    p.clusters,
+                    p.msgs_per_node,
+                    p.bytes_per_node,
+                    p.peak_live_events,
+                    p.wall_ms_heap,
+                    p.wall_ms_calendar,
+                    p.wall_ms_heap as f64 / p.wall_ms_calendar.max(1) as f64
+                )
+            })
+            .collect();
+        rows.join("\n")
+    }
+
+    fn json(&self, points: &Vec<ScalePoint>) -> String {
+        scale_report_json(points)
+    }
 }
 
 #[cfg(test)]
@@ -261,21 +279,17 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_view_is_reproducible_and_wall_free() {
-        let a = run_scale(&[8, 16]);
-        let b = run_scale(&[8, 16]);
-        assert_eq!(scale_deterministic_json(&a), scale_deterministic_json(&b));
-        assert!(!scale_deterministic_json(&a).contains("wall_ms"));
-        let full = scale_report_json(&a);
+    fn report_is_reproducible_and_wall_free() {
+        let a = scale_report_json(&run_scale(&[8, 16]));
+        let b = scale_report_json(&run_scale(&[8, 16]));
+        assert_eq!(a, b);
+        assert!(!a.contains("wall_ms") && !a.contains("speedup"));
         for key in [
-            "\"schema\":\"elink-scale/v1\"",
+            "\"schema\":\"elink-scale/v2\"",
             "\"msgs_per_node\":",
             "\"peak_live_events\":",
-            "\"wall_ms_heap\":",
-            "\"wall_ms_calendar\":",
-            "\"speedup\":",
         ] {
-            assert!(full.contains(key), "missing {key}");
+            assert!(a.contains(key), "missing {key}");
         }
     }
 }

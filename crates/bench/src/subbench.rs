@@ -1,5 +1,5 @@
 //! The standing-query serving bench behind `BENCH_sub.json` (schema
-//! `elink-sub/v1`).
+//! `elink-sub/v2`).
 //!
 //! Three runs share one deployment preset (same topology, features, seed
 //! and update stream):
@@ -24,8 +24,8 @@ use elink_metric::{Absolute, Metric};
 use elink_workload::{expected_matches, percentile, ServeOptions, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
 
-/// Everything `sub_report` prints and serializes. All fields except
-/// `wall_ms` are deterministic for a fixed preset.
+/// Everything the `sub` gate prints and serializes. Every field is
+/// deterministic for a fixed preset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubReport {
     /// Nodes in the deployment.
@@ -62,8 +62,6 @@ pub struct SubReport {
     pub requery_per_update_milli: u64,
     /// `requery_msgs / push_msgs` in milli — the acceptance ratio.
     pub ratio_milli: u64,
-    /// Host wall-clock of the three runs (excluded from determinism).
-    pub wall_ms: u64,
 }
 
 /// The bench preset: a 256-node terrain deployment, 8 subscribers over the
@@ -93,7 +91,6 @@ fn build(spec: &WorkloadSpec, delta: f64, n_nodes: usize) -> WorkloadSim {
 
 /// Runs the three-way comparison for one preset scale.
 pub fn run_once(scale: u32) -> SubReport {
-    let start = std::time::Instant::now();
     let (spec, delta, n_nodes) = preset(scale);
     let metric: Arc<dyn Metric> = Arc::new(Absolute);
 
@@ -214,22 +211,21 @@ pub fn run_once(scale: u32) -> SubReport {
         push_per_update_milli: push_msgs * 1000 / n_updates.max(1),
         requery_per_update_milli: requery_msgs * 1000 / n_updates.max(1),
         ratio_milli: requery_msgs * 1000 / push_msgs.max(1),
-        wall_ms: start.elapsed().as_millis() as u64,
     }
 }
 
 impl SubReport {
-    /// Full JSON document (schema `elink-sub/v1`).
+    /// The JSON document (schema `elink-sub/v2`).
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"schema\":\"elink-sub/v1\",\"n_nodes\":{},\"n_clusters\":{},",
+                "{{\"schema\":\"elink-sub/v2\",\"n_nodes\":{},\"n_clusters\":{},",
                 "\"n_subscribers\":{},\"n_updates\":{},\"active_subs\":{},",
                 "\"pushes\":{},\"repairs\":{},\"contribs\":{},",
                 "\"push_latency\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},",
                 "\"push_msgs\":{},\"requery_msgs\":{},",
                 "\"push_per_update_milli\":{},\"requery_per_update_milli\":{},",
-                "\"ratio_milli\":{},\"wall_ms\":{}}}"
+                "\"ratio_milli\":{}}}"
             ),
             self.n_nodes,
             self.n_clusters,
@@ -248,18 +244,68 @@ impl SubReport {
             self.push_per_update_milli,
             self.requery_per_update_milli,
             self.ratio_milli,
-            self.wall_ms
+        )
+    }
+}
+
+/// The `sub` gate: the committed preset (`scale = 1`). It requires every
+/// subscription to survive the fault-free run and push to cost at least
+/// 2× fewer serving messages per update than re-query.
+pub struct SubGate;
+
+impl crate::Gate for SubGate {
+    type Report = SubReport;
+    const NAME: &'static str = "sub";
+
+    fn run(&self) -> SubReport {
+        run_once(1)
+    }
+
+    fn summary(&self, r: &SubReport) -> String {
+        let milli = |v: u64| format!("{}.{:03}", v / 1000, v % 1000);
+        format!(
+            "sub n={} clusters={} subscribers={} updates={}\n  \
+             pushes={} repairs={} contribs={} | push latency p50={} p90={} p99={} max={}\n  \
+             serving msgs: push={} requery={} | per update: push={} requery={} | ratio={}x",
+            r.n_nodes,
+            r.n_clusters,
+            r.n_subscribers,
+            r.n_updates,
+            r.pushes,
+            r.repairs,
+            r.contribs,
+            r.push_p50,
+            r.push_p90,
+            r.push_p99,
+            r.push_max,
+            r.push_msgs,
+            r.requery_msgs,
+            milli(r.push_per_update_milli),
+            milli(r.requery_per_update_milli),
+            milli(r.ratio_milli)
         )
     }
 
-    /// The deterministic view used by `--check`: everything but `wall_ms`.
-    pub fn deterministic_json(&self) -> String {
-        let mut j = self.to_json();
-        if let Some(pos) = j.rfind(",\"wall_ms\"") {
-            j.truncate(pos);
-            j.push('}');
+    fn violations(&self, r: &SubReport) -> Vec<String> {
+        let mut out = Vec::new();
+        if r.active_subs < r.n_subscribers {
+            out.push(format!(
+                "only {}/{} subscriptions survived a fault-free run",
+                r.active_subs, r.n_subscribers
+            ));
         }
-        j
+        if r.ratio_milli < 2000 {
+            out.push(format!(
+                "push/requery ratio {}.{:03}x below the 2x floor",
+                r.ratio_milli / 1000,
+                r.ratio_milli % 1000
+            ));
+        }
+        out
+    }
+
+    fn json(&self, r: &SubReport) -> String {
+        r.to_json()
     }
 }
 
@@ -271,7 +317,7 @@ mod tests {
     fn mini_preset_is_deterministic_and_beats_requery() {
         let a = run_once(4);
         let b = run_once(4);
-        assert_eq!(a.deterministic_json(), b.deterministic_json());
+        assert_eq!(a.to_json(), b.to_json());
         assert!(a.pushes > 0, "no pushes delivered");
         assert!(a.repairs > 0, "no incremental repairs ran");
         assert!(
@@ -283,11 +329,9 @@ mod tests {
 
     #[test]
     fn report_is_schema_tagged_and_balanced() {
-        let r = run_once(4);
-        let j = r.to_json();
-        assert!(j.starts_with("{\"schema\":\"elink-sub/v1\""));
+        let j = run_once(4).to_json();
+        assert!(j.starts_with("{\"schema\":\"elink-sub/v2\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(r.deterministic_json().ends_with('}'));
-        assert!(!r.deterministic_json().contains("wall_ms"));
+        assert!(!j.contains("wall_ms"));
     }
 }

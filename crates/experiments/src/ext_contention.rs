@@ -8,8 +8,8 @@
 //! so heavy query streams queue behind each other instead of sailing
 //! through. Expected shape: at large capacity the latency columns are
 //! flat in offered load; at small capacity they bend upward past the
-//! saturation point — the queueing knee the `contention_report` bench
-//! gates on at 1k nodes (see EXPERIMENTS.md, Ext-C2).
+//! saturation point — the queueing knee the `contention` bench gate
+//! checks at 1k nodes (see EXPERIMENTS.md, Ext-C2).
 
 use crate::common::Table;
 use elink_datasets::TerrainDataset;
@@ -105,7 +105,7 @@ pub fn sweep(params: &Params) -> Vec<Cell> {
                 None,
             );
             let run = sim.run_concurrent();
-            let slo = SloReport::from_run(&run, 0);
+            let slo = SloReport::from_run(&run);
             cells.push(Cell {
                 capacity,
                 mean_gap,

@@ -78,7 +78,7 @@ fn run_cell(params: &Params, zipf_s: f64, cache: bool) -> SloReport {
         &spec,
         opts,
     );
-    SloReport::from_run(&sim.run_concurrent(), 0)
+    SloReport::from_run(&sim.run_concurrent())
 }
 
 /// Regenerates the serving-workload table.

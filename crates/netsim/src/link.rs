@@ -347,7 +347,7 @@ impl From<AsyncUniformLink> for LossyLink {
 /// the transfers in flight on it (see [`crate::flow`]). Messages therefore
 /// queue behind each other instead of sailing through independently: under
 /// offered load beyond capacity, sojourn times grow without bound, which is
-/// the knee the `contention_report` bench measures. Converts into a
+/// the knee the `contention` bench gate measures. Converts into a
 /// [`LossyLink`] with a one-tick delay (no RNG) and the given capacity.
 ///
 /// # Examples

@@ -13,10 +13,10 @@
 //! Wall-clock time deliberately has **no representation here**: netsim is a
 //! protocol crate where `Instant` is banned (simlint
 //! `no-wall-clock-or-ambient-rng`), and keeping host timing out of the
-//! registry is what lets `bench_report` assert byte-identical metric output
-//! across same-seed runs. Harnesses that want wall-clock (the
-//! `elink-bench` crate) measure it outside the registry and report it in a
-//! field excluded from the determinism check.
+//! registry is what lets the `elink-bench` gates assert byte-identical
+//! metric output across same-seed runs. Harnesses that want wall-clock
+//! (the `elink-bench` crate) measure it outside the registry and only
+//! print it, never writing it into a committed document.
 //!
 //! # Phase spans
 //!

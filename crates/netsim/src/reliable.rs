@@ -27,7 +27,7 @@
 //! Every timing decision is a pure function of the [`ArqConfig`] and the
 //! engine's seeded RNG (backoff jitter is drawn from the same stream as
 //! link delays), so same-seed runs remain byte-identical — the
-//! `chaos_report --check` contract.
+//! `elink-bench --check chaos` contract.
 
 /// Cost-book kind under which ARQ retransmissions are billed.
 pub const KIND_RETX: &str = "net.retx";

@@ -43,7 +43,7 @@ use std::collections::BinaryHeap;
 /// byte-identical `CostBook`, metrics, trace, and outcomes — differing only
 /// in speed and memory layout. The default is [`SchedulerKind::Calendar`];
 /// [`SchedulerKind::Heap`] remains for differential testing and as the
-/// perf baseline in `scale_report`.
+/// perf baseline in the `scale` bench gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// Legacy binary heap storing full events inline (`O(log n)` ops).

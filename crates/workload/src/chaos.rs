@@ -16,7 +16,7 @@
 //! Campaign schedules are query-only (`n_updates = 0`) so the ground truth
 //! is the initial anchor snapshot regardless of event interleaving. Cells
 //! are pure functions of their [`FaultSpec`] and the campaign seed: the
-//! `chaos_report --check` CI gate reruns the whole grid and requires
+//! `elink-bench --check chaos` CI gate reruns the whole grid and requires
 //! byte-identical reports.
 //!
 //! The campaign also carries **standing-subscription cells**
@@ -307,7 +307,7 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// Every field of the report is deterministic; two runs of the same
     /// campaign must produce byte-identical documents.
-    pub fn deterministic_json(&self) -> String {
+    pub fn to_json(&self) -> String {
         let cells: Vec<String> = self.cells.iter().map(ChaosCell::json).collect();
         let sub_cells: Vec<String> = self.sub_cells.iter().map(SubChaosCell::json).collect();
         format!(
@@ -788,7 +788,7 @@ mod tests {
                 violations: 0,
             }],
         };
-        let json = report.deterministic_json();
+        let json = report.to_json();
         assert!(json.contains("\"schema\":\"elink-chaos/v3\""));
         assert!(json.contains("\"sub_cells\":[{\"drop_milli\":150,\"capacity\":64"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

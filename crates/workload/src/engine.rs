@@ -23,7 +23,7 @@ use elink_netsim::{
     ArqConfig, CostBook, DelayModel, LinkModel, Metrics, SimNetwork, SimTime, Simulator,
 };
 use elink_query::{Backbone, DistributedIndex};
-use elink_topology::{NodeId, RoutingTable, Topology};
+use elink_topology::{NodeId, Topology};
 use std::sync::Arc;
 
 /// Serving-layer knobs independent of the workload shape.
@@ -161,7 +161,9 @@ impl WorkloadSim {
         link: impl Into<Box<dyn LinkModel>>,
         arq: Option<ArqConfig>,
     ) -> WorkloadSim {
-        let net = SimNetwork::new(topology.clone());
+        // One network, hence one routing table, serves growth, the
+        // backbone, the diameter and the simulator.
+        let net = SimNetwork::new(topology);
         let outcome = run_implicit(
             &net,
             &features,
@@ -169,10 +171,10 @@ impl WorkloadSim {
             ElinkConfig::for_delta(delta),
         );
         let (index, _) = DistributedIndex::build(&outcome.clustering, &features, metric.as_ref());
-        let routing = RoutingTable::build(topology.graph());
-        let (backbone, _) = Backbone::build(&outcome.clustering, &routing);
+        let routing = net.routing();
+        let (backbone, _) = Backbone::build(&outcome.clustering, routing);
         let schedule = crate::gen::build_schedule(spec, &features, delta);
-        let topology = Arc::new(topology);
+        let topology = Arc::clone(net.topology_arc());
         let (plan, plan_costs) = ServingPlan::build(
             &outcome.clustering,
             &index,
@@ -256,7 +258,7 @@ impl WorkloadSim {
                 )
             })
             .collect();
-        let mut sim = Simulator::new(SimNetwork::new((*topology).clone()), link, spec.seed, nodes);
+        let mut sim = Simulator::new(net, link, spec.seed, nodes);
         if let Some(arq_config) = arq {
             sim.enable_arq(arq_config);
         }

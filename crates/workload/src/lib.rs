@@ -15,7 +15,7 @@
 //!   at routing nodes invalidated by §6 slack-exceeding updates.
 //! - [`engine`] — the harness: builds the deployment and drives the fleet
 //!   concurrently (benchmark) or sequentially (correctness oracle).
-//! - [`report`] — the `elink-workload/v1` SLO document.
+//! - [`report`] — the `elink-workload/v2` SLO document.
 //!
 //! See DESIGN.md §9 for the arrival models, the batching rule, and the
 //! cache-invalidation correctness argument.
@@ -33,7 +33,7 @@ pub mod plan;
 pub mod protocol;
 /// Serving QoS policy: admission ladder, eviction, adaptive windows.
 pub mod qos;
-/// SLO folding: latency percentiles and the `elink-workload/v1` document.
+/// SLO folding: latency percentiles and the `elink-workload/v2` document.
 pub mod report;
 /// Standing-query subscription state machines (client/coordinator/watcher).
 pub mod subscribe;

@@ -145,8 +145,9 @@ pub struct LoadAdmission {
 
 impl Default for LoadAdmission {
     /// Degrade at 96× the idle envelope, shed at 128×. Calibrated against
-    /// the cap-64 contention sweep (`BENCH_admission.json`): a healthy
-    /// serving wave keeps tens of flows in the air, so the backlog horizon
+    /// the admission arm of the cap-64 contention sweep
+    /// (`BENCH_contention.json`): a healthy serving wave keeps tens of
+    /// flows in the air, so the backlog horizon
     /// sits well above the idle envelope even far from saturation —
     /// thresholds this high stay quiet at light load and fire inside the
     /// convex blow-up segment past the queueing knee.

@@ -1,16 +1,16 @@
 //! SLO reporting: folds a [`WorkloadRun`] into
-//! the machine-readable `elink-workload/v1` document emitted by the
-//! `workload_report` bench binary.
+//! the machine-readable `elink-workload/v2` document behind the
+//! `workload` bench gate (`BENCH_workload.json`).
 //!
-//! Every field except `wall_ms` is derived from deterministic simulator
-//! state; ratios are reported in integer milli-units so the document is
-//! byte-stable across runs of the same seed (the `--check` contract).
+//! Every field is derived from deterministic simulator state; ratios are
+//! reported in integer milli-units so the document is byte-stable across
+//! runs of the same seed (the `--check` contract).
 
 use crate::engine::WorkloadRun;
 use elink_netsim::SimTime;
 
 /// Schema identifier of the emitted document.
-pub const SCHEMA: &str = "elink-workload/v1";
+pub const SCHEMA: &str = "elink-workload/v2";
 
 /// Latency percentiles over completed queries (ticks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +72,6 @@ pub struct SloReport {
     pub updates_absorbed: u64,
     /// Slack-exceeding updates that re-anchored and invalidated.
     pub updates_sync: u64,
-    /// Wall-clock milliseconds (excluded from the deterministic view).
-    pub wall_ms: u64,
 }
 
 /// Nearest-rank percentile over an ascending slice: the smallest sample
@@ -87,9 +85,8 @@ pub fn percentile(sorted: &[u64], p: u64) -> u64 {
 }
 
 impl SloReport {
-    /// Summarizes a finished run. `wall_ms` is measured by the caller (the
-    /// only nondeterministic field).
-    pub fn from_run(run: &WorkloadRun, wall_ms: u64) -> SloReport {
+    /// Summarizes a finished run.
+    pub fn from_run(run: &WorkloadRun) -> SloReport {
         let mut lats: Vec<u64> = run
             .completed
             .iter()
@@ -138,22 +135,12 @@ impl SloReport {
             updates_recv: m.counter("wl.update.recv"),
             updates_absorbed: m.counter("wl.update.absorbed"),
             updates_sync: m.counter("wl.update.sync"),
-            wall_ms,
         }
     }
 
-    /// The full JSON document (single line, stable key order).
-    pub fn to_json(&self) -> String {
-        let mut s = self.deterministic_json();
-        let closing = s.pop();
-        debug_assert_eq!(closing, Some('}'));
-        s.push_str(&format!(",\"wall_ms\":{}}}", self.wall_ms));
-        s
-    }
-
-    /// The deterministic view: everything except `wall_ms`. Two runs of the
+    /// The JSON document (single line, stable key order). Two runs of the
     /// same seed must produce byte-identical output.
-    pub fn deterministic_json(&self) -> String {
+    pub fn to_json(&self) -> String {
         format!(
             concat!(
                 "{{\"schema\":\"{schema}\",",
@@ -219,55 +206,5 @@ mod tests {
         assert_eq!(percentile(&v, 50), 50);
         assert_eq!(percentile(&v, 99), 99);
         assert_eq!(percentile(&v, 100), 100);
-    }
-
-    /// `to_json` splices `wall_ms` into the deterministic view by string
-    /// surgery; the result must stay balanced JSON in every build profile
-    /// (a `pop()` hidden inside `debug_assert!` once broke release builds).
-    #[test]
-    fn to_json_stays_brace_balanced() {
-        let report = SloReport {
-            n_nodes: 4,
-            n_clusters: 1,
-            submitted: 2,
-            done: 2,
-            sim_ticks: 10,
-            latency: LatencySummary {
-                count: 2,
-                p50: 3,
-                p90: 4,
-                p99: 4,
-                max: 4,
-                mean_milli: 3500,
-            },
-            throughput_milli: 200,
-            cache_hits: 1,
-            cache_misses: 1,
-            hit_rate_milli: 500,
-            cache_evictions: 0,
-            invalidations: 0,
-            batch_riders: 0,
-            total_msgs: 20,
-            total_cost: 40,
-            msgs_per_query_milli: 10_000,
-            attributed_cost: 42,
-            updates_recv: 0,
-            updates_absorbed: 0,
-            updates_sync: 0,
-            wall_ms: 7,
-        };
-        let json = report.to_json();
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes, "unbalanced braces in {json}");
-        assert!(json.ends_with(",\"wall_ms\":7}"));
-        assert!(
-            !json.contains("}},\"wall_ms\""),
-            "root brace not spliced out"
-        );
-        // The deterministic view is the same document minus the wall_ms tail.
-        let det = report.deterministic_json();
-        assert_eq!(det.matches('{').count(), det.matches('}').count());
-        assert!(json.starts_with(det.trim_end_matches('}')));
     }
 }

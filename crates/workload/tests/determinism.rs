@@ -31,8 +31,8 @@ fn same_seed_runs_are_byte_identical() {
     assert_eq!(a.completed, b.completed, "completions diverged");
     assert_eq!(a.sim_ticks, b.sim_ticks);
     assert_eq!(
-        SloReport::from_run(&a, 0).deterministic_json(),
-        SloReport::from_run(&b, 0).deterministic_json(),
+        SloReport::from_run(&a).to_json(),
+        SloReport::from_run(&b).to_json(),
         "deterministic report views diverged"
     );
 }
