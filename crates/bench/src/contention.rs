@@ -13,7 +13,8 @@
 //! At the saturating capacity
 //! ([`ADMISSION_CAPACITY`](crate::contention::ADMISSION_CAPACITY)) every
 //! offered load also runs with the load-admission ladder armed (the
-//! default [`LoadAdmission`](elink_workload::LoadAdmission) thresholds).
+//! [`elink_workload::qos::DEGRADE_RATIO_MILLI`] and
+//! [`elink_workload::qos::SHED_RATIO_MILLI`] thresholds).
 //! That A/B pair shows the cure and its price:
 //!
 //! * **bounded tail** — with admission on, the p99 of *served* work
@@ -33,9 +34,7 @@
 
 use elink_metric::Absolute;
 use elink_netsim::FairShareLink;
-use elink_workload::{
-    percentile, Arrival, LoadAdmission, ServeOptions, SloReport, WorkloadSim, WorkloadSpec,
-};
+use elink_workload::{percentile, Arrival, ServeOptions, SloReport, WorkloadSim, WorkloadSpec};
 use std::sync::Arc;
 
 /// Schema identifier of the `BENCH_contention.json` document.
@@ -130,9 +129,7 @@ pub fn run_point(
 ) -> ContentionPoint {
     let (spec, delta) = preset(mean_gap);
     let mut opts = ServeOptions::for_delta(delta);
-    if admission {
-        opts.qos.load = Some(LoadAdmission::default());
-    }
+    opts.load_admission = admission;
     let sim = WorkloadSim::build_with_link(
         data.topology().clone(),
         data.features(),

@@ -15,7 +15,7 @@ use elink_core::maintenance_protocol::{maintenance_nodes, MaintMsg};
 use elink_core::{run_explicit, run_implicit, ElinkConfig, ElinkOutcome};
 use elink_datasets::{TaoDataset, TaoParams, TerrainDataset};
 use elink_metric::{DistanceMatrix, Feature, Metric};
-use elink_netsim::{Ctx, DelayModel, Metrics, Protocol, SimNetwork, Simulator};
+use elink_netsim::{Ctx, Metrics, Protocol, SimNetwork, Simulator, SyncLink};
 use std::sync::Arc;
 
 /// One benchmark's measurements.
@@ -94,7 +94,7 @@ fn bench_fig08_explicit() -> BenchResult {
         &features,
         metric,
         ElinkConfig::for_delta(delta),
-        DelayModel::Sync,
+        SyncLink,
         0,
     );
     outcome_result("fig08_tao_explicit", features.len(), outcome)
@@ -133,7 +133,7 @@ fn bench_fig11_maintenance() -> BenchResult {
         delta,
         slack,
     );
-    let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+    let mut sim = Simulator::new(network, SyncLink, 0, nodes);
     sim.run_to_completion(); // drain (empty) start events
     let mut models = data.train_models();
     let steps = data.evaluation()[0].len();
@@ -174,7 +174,7 @@ fn bench_substrate_unicast() -> BenchResult {
     let n = topo.n();
     let network = SimNetwork::new(topo);
     let nodes: Vec<Storm> = (0..n).map(|_| Storm { n }).collect();
-    let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+    let mut sim = Simulator::new(network, SyncLink, 0, nodes);
     let elapsed = sim.run_to_completion();
     BenchResult {
         bench: "substrate_unicast_storm",

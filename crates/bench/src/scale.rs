@@ -22,7 +22,7 @@
 use elink_core::protocol::SignalMode;
 use elink_core::{run_with_options, ElinkConfig, ElinkOutcome, RunOptions};
 use elink_metric::{Absolute, Feature};
-use elink_netsim::{DelayModel, SchedulerKind, SimNetwork};
+use elink_netsim::{SchedulerKind, SimNetwork, SyncLink};
 use elink_topology::Topology;
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,7 +135,7 @@ fn run_one(network: &SimNetwork, features: &[Feature], kind: SchedulerKind) -> (
         Arc::new(Absolute),
         ElinkConfig::for_delta(SCALE_DELTA),
         SignalMode::Implicit,
-        DelayModel::Sync,
+        SyncLink,
         0,
         RunOptions {
             arq: None,

@@ -59,6 +59,6 @@ pub use maintenance_protocol::{maintenance_nodes, slack_conditions_hold, MaintMs
 pub use node_table::{FlatMap, FlatSet, NodeHandle, NodeTable};
 pub use protocol::{stray, ElinkMsg, ElinkNode, SignalMode};
 pub use runner::{
-    build_sim, run_explicit, run_implicit, run_unordered, run_with_link, run_with_link_arq,
-    run_with_options, ElinkOutcome, RunOptions,
+    build_sim, run_explicit, run_implicit, run_unordered, run_with_link, run_with_options,
+    ElinkOutcome, RunOptions,
 };

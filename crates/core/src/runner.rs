@@ -6,8 +6,8 @@ use crate::protocol::{ElinkNode, SignalMode};
 use crate::quadinfo::QuadInfo;
 use elink_metric::{Feature, Metric};
 use elink_netsim::{
-    ArqConfig, CostBook, DelayModel, LinkModel, Metrics, SchedulerKind, SimNetwork, SimTime,
-    Simulator,
+    ArqConfig, CostBook, LinkModel, Metrics, SchedulerKind, SimNetwork, SimTime, Simulator,
+    SyncLink,
 };
 use std::sync::Arc;
 
@@ -36,8 +36,13 @@ pub struct ElinkOutcome {
 /// run the same workload under both [`SchedulerKind`]s).
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// When `Some`, every protocol message rides the reliable-delivery
-    /// (ack/retransmit/dedup) sublayer.
+    /// When `Some`, every protocol message rides the engine's
+    /// reliable-delivery sublayer ([`elink_netsim::reliable`]) — per-link
+    /// ack/retransmit/dedup — and the protocol's conservative timeouts
+    /// stretch to the ARQ worst-case envelope via
+    /// [`elink_netsim::Ctx::max_delivery_delay`]. This is how Explicit
+    /// ELink survives lossy links with the *same* output clustering as a
+    /// loss-free run.
     pub arq: Option<ArqConfig>,
     /// Event-queue backend (default [`SchedulerKind::Calendar`]).
     pub scheduler: SchedulerKind,
@@ -57,27 +62,6 @@ pub fn run_with_link(
     link: impl Into<Box<dyn LinkModel>>,
     seed: u64,
 ) -> ElinkOutcome {
-    run_with_link_arq(network, features, metric, config, mode, link, seed, None)
-}
-
-/// [`run_with_link`] with an optional ARQ layer: when `arq` is `Some`, every
-/// protocol message rides the engine's reliable-delivery sublayer
-/// ([`elink_netsim::reliable`]) — per-link ack/retransmit/dedup — and the
-/// protocol's conservative timeouts automatically stretch to the ARQ
-/// worst-case envelope via [`elink_netsim::Ctx::max_delivery_delay`]. This is
-/// how Explicit ELink survives lossy links with the *same* output clustering
-/// as a loss-free run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_link_arq(
-    network: &SimNetwork,
-    features: &[Feature],
-    metric: Arc<dyn Metric>,
-    config: ElinkConfig,
-    mode: SignalMode,
-    link: impl Into<Box<dyn LinkModel>>,
-    seed: u64,
-    arq: Option<ArqConfig>,
-) -> ElinkOutcome {
     run_with_options(
         network,
         features,
@@ -86,10 +70,7 @@ pub fn run_with_link_arq(
         mode,
         link,
         seed,
-        RunOptions {
-            arq,
-            ..RunOptions::default()
-        },
+        RunOptions::default(),
     )
 }
 
@@ -126,8 +107,8 @@ pub fn build_sim(
     Simulator::new(network.clone(), link, seed, nodes)
 }
 
-/// The fully-general runner: [`run_with_link_arq`] plus scheduler-backend
-/// selection via [`RunOptions`].
+/// The fully-general runner: [`run_with_link`] plus the optional ARQ
+/// sublayer and scheduler-backend selection via [`RunOptions`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_options(
     network: &SimNetwork,
@@ -210,7 +191,7 @@ pub fn run_implicit(
         metric,
         config,
         SignalMode::Implicit,
-        DelayModel::Sync,
+        SyncLink,
         0,
     )
 }
@@ -222,7 +203,7 @@ pub fn run_explicit(
     features: &[Feature],
     metric: Arc<dyn Metric>,
     config: ElinkConfig,
-    delay: DelayModel,
+    link: impl Into<Box<dyn LinkModel>>,
     seed: u64,
 ) -> ElinkOutcome {
     run_with_link(
@@ -231,7 +212,7 @@ pub fn run_explicit(
         metric,
         config,
         SignalMode::Explicit,
-        delay,
+        link,
         seed,
     )
 }
@@ -243,7 +224,7 @@ pub fn run_unordered(
     features: &[Feature],
     metric: Arc<dyn Metric>,
     config: ElinkConfig,
-    delay: DelayModel,
+    link: impl Into<Box<dyn LinkModel>>,
     seed: u64,
 ) -> ElinkOutcome {
     run_with_link(
@@ -252,7 +233,7 @@ pub fn run_unordered(
         metric,
         config,
         SignalMode::Unordered,
-        delay,
+        link,
         seed,
     )
 }
@@ -262,6 +243,7 @@ mod tests {
     use super::*;
     use crate::clustering::validate_delta_clustering;
     use elink_metric::Absolute;
+    use elink_netsim::LossyLink;
     use elink_topology::Topology;
 
     /// 1×8 path with two obvious feature zones.
@@ -300,14 +282,7 @@ mod tests {
         let (net, features) = two_zone();
         let config = ElinkConfig::for_delta(10.0);
         let a = run_implicit(&net, &features, Arc::new(Absolute), config);
-        let b = run_explicit(
-            &net,
-            &features,
-            Arc::new(Absolute),
-            config,
-            DelayModel::Sync,
-            0,
-        );
+        let b = run_explicit(&net, &features, Arc::new(Absolute), config, SyncLink, 0);
         assert_eq!(a.clustering.assignment, b.clustering.assignment);
         // ... but the explicit variant pays synchronization messages.
         assert!(b.costs.total_cost() > a.costs.total_cost());
@@ -347,7 +322,7 @@ mod tests {
             &features,
             Arc::new(Absolute),
             ElinkConfig::for_delta(10.0),
-            DelayModel::Async { min: 1, max: 4 },
+            LossyLink::new(1, 4),
             7,
         );
         assert_eq!(outcome.clustering.cluster_count(), 2);
@@ -399,7 +374,7 @@ mod tests {
             &features,
             Arc::new(Absolute),
             ElinkConfig::for_delta(10.0),
-            DelayModel::Sync,
+            SyncLink,
             0,
         );
         // Implicit mode has no synchronization messages; explicit mode must
@@ -416,7 +391,7 @@ mod tests {
             &features,
             Arc::new(Absolute),
             ElinkConfig::for_delta(10.0),
-            DelayModel::Sync,
+            SyncLink,
             0,
         );
         validate_delta_clustering(

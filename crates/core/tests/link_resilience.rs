@@ -4,9 +4,11 @@
 
 use elink_core::maintenance_protocol::{maintenance_nodes, MaintMsg};
 use elink_core::protocol::SignalMode;
-use elink_core::{run_implicit, run_with_link, run_with_link_arq, ElinkConfig, ElinkOutcome};
+use elink_core::{
+    run_implicit, run_with_link, run_with_options, ElinkConfig, ElinkOutcome, RunOptions,
+};
 use elink_metric::{Absolute, Feature, Metric};
-use elink_netsim::{ArqConfig, DelayModel, LinkModel, LossyLink, SimNetwork, Simulator};
+use elink_netsim::{ArqConfig, LinkModel, LossyLink, SimNetwork, Simulator, SyncLink};
 use elink_topology::Topology;
 use std::sync::Arc;
 
@@ -32,10 +34,10 @@ type LinkRegime = (
 /// retransmits each dropped hop instead of letting the handshake stall.
 fn link_regimes() -> Vec<LinkRegime> {
     vec![
-        ("sync", DelayModel::Sync.into(), SignalMode::Explicit, None),
+        ("sync", SyncLink.into(), SignalMode::Explicit, None),
         (
             "async",
-            DelayModel::Async { min: 1, max: 4 }.into(),
+            LossyLink::new(1, 4).into(),
             SignalMode::Explicit,
             None,
         ),
@@ -74,7 +76,7 @@ fn elink_is_deterministic_per_seed_under_every_link_model() {
                     .find(|(n, _, _, _)| *n == name)
                     .unwrap()
                     .1;
-                let outcome = run_with_link_arq(
+                let outcome = run_with_options(
                     &network,
                     &features,
                     Arc::new(Absolute),
@@ -82,7 +84,10 @@ fn elink_is_deterministic_per_seed_under_every_link_model() {
                     mode,
                     link,
                     9,
-                    arq,
+                    RunOptions {
+                        arq,
+                        ..RunOptions::default()
+                    },
                 );
                 snapshot(&outcome)
             })
@@ -170,7 +175,7 @@ fn elink_is_deterministic_per_seed_on_random_uniform_topology() {
                     .find(|(n, _, _, _)| *n == name)
                     .unwrap()
                     .1;
-                run_with_link_arq(
+                run_with_options(
                     &network,
                     &features,
                     Arc::new(Absolute),
@@ -178,7 +183,10 @@ fn elink_is_deterministic_per_seed_on_random_uniform_topology() {
                     mode,
                     link,
                     7,
-                    arq,
+                    RunOptions {
+                        arq,
+                        ..RunOptions::default()
+                    },
                 )
             })
             .collect();
@@ -211,7 +219,7 @@ fn explicit_over_arq_at_drop_02_matches_loss_free_assignment() {
     let config = ElinkConfig::for_delta(10.0);
     let run = |drop: f64| {
         let (network, features) = grid_scenario();
-        run_with_link_arq(
+        run_with_options(
             &network,
             &features,
             Arc::new(Absolute),
@@ -219,7 +227,10 @@ fn explicit_over_arq_at_drop_02_matches_loss_free_assignment() {
             SignalMode::Explicit,
             LossyLink::new(1, 1).with_drop_prob(drop),
             11,
-            Some(ArqConfig::default()),
+            RunOptions {
+                arq: Some(ArqConfig::default()),
+                ..RunOptions::default()
+            },
         )
     };
     let loss_free = run(0.0);

@@ -10,7 +10,7 @@ use elink_core::protocol::{ElinkMsg, ElinkNode, SignalMode};
 use elink_core::quadinfo::QuadInfo;
 use elink_core::{run_implicit, validate_delta_clustering, ElinkConfig};
 use elink_metric::{DistanceMatrix, Feature, Metric, TableMetric};
-use elink_netsim::{Ctx, DelayModel, Protocol, SimNetwork, Simulator};
+use elink_netsim::{Ctx, Protocol, SimNetwork, Simulator, SyncLink};
 use elink_topology::{CommGraph, Point, Rect, Topology};
 use std::sync::Arc;
 
@@ -105,7 +105,7 @@ fn fig5_expansion_from_sentinel_d() {
         })
         .collect();
     let network = SimNetwork::new(topology);
-    let mut sim = Simulator::new(network, DelayModel::Sync, 0, nodes);
+    let mut sim = Simulator::new(network, SyncLink, 0, nodes);
     sim.run_to_completion();
 
     // Fig 5d: the final cluster C1 = {A, B, D, E, F, G}; C stays out.

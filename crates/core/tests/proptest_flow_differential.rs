@@ -5,7 +5,7 @@
 //! 1. **Degenerate equivalence (byte-identical)** — with effectively
 //!    infinite capacity no transfer ever contends, every service takes the
 //!    one-tick floor, and a broadcast-only run is *byte-identical* (same
-//!    `JsonlTrace` stream) to `AsyncUniformLink::new(1, 1)` — the
+//!    `JsonlTrace` stream) to `LossyLink::new(1, 1)` — the
 //!    zero-jitter per-message model with the same fixed delay. This works
 //!    because an uncontended flow's tentative-completion event occupies
 //!    exactly the queue slot the per-message `Deliver` would have, and is
@@ -30,7 +30,7 @@ use elink_core::quadinfo::QuadInfo;
 use elink_core::{Clustering, ElinkConfig};
 use elink_metric::{Absolute, Feature};
 use elink_netsim::{
-    AsyncUniformLink, CostBook, Ctx, FairShareLink, JsonlTrace, LinkModel, Protocol, SchedulerKind,
+    CostBook, Ctx, FairShareLink, JsonlTrace, LinkModel, LossyLink, Protocol, SchedulerKind,
     SimNetwork, Simulator,
 };
 use elink_topology::Topology;
@@ -258,7 +258,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Capacity = ∞, broadcast-only traffic ⇒ byte-identical to
-    /// `AsyncUniformLink` with zero jitter (`min == max == 1`): the traced
+    /// `LossyLink::new(1, 1)`, zero jitter (`min == max == 1`): the traced
     /// event stream, compared byte for byte, cannot tell the two models
     /// apart.
     #[test]
@@ -278,7 +278,7 @@ proptest! {
             &topology, &sources, FairShareLink::unlimited().into(), seed,
         );
         let (at, ac, ae) = run_flood(
-            &topology, &sources, AsyncUniformLink::new(1, 1).into(), seed,
+            &topology, &sources, LossyLink::new(1, 1).into(), seed,
         );
         assert_traces_identical(&ft, &at, "flood flow-vs-async")?;
         prop_assert_eq!(&fc, &ac, "flood: cost books diverge");
@@ -286,7 +286,7 @@ proptest! {
     }
 
     /// Capacity = ∞, full ELink growth protocol ⇒ equivalent to
-    /// `AsyncUniformLink` with zero jitter on every observable. The growth
+    /// `LossyLink::new(1, 1)` (zero jitter) on every observable. The growth
     /// protocol unicasts (quadtree phase-1/phase-2 waves), and multi-hop
     /// unicast is store-and-forward under the flow model, so same-tick
     /// trace lines may interleave differently — traces are compared as
@@ -311,7 +311,7 @@ proptest! {
         );
         let per_message = run_traced(
             &topology, &features, config, mode,
-            AsyncUniformLink::new(1, 1).into(), seed, SchedulerKind::Calendar,
+            LossyLink::new(1, 1).into(), seed, SchedulerKind::Calendar,
         );
         assert_equivalent_modulo_tick_order(&flow, &per_message, "flow-vs-async")?;
     }

@@ -14,8 +14,8 @@ use elink_core::quadinfo::QuadInfo;
 use elink_core::{Clustering, ElinkConfig};
 use elink_metric::{Absolute, Feature};
 use elink_netsim::{
-    ArqConfig, CostBook, DelayModel, JsonlTrace, LinkModel, LossyLink, SchedulerKind, SimNetwork,
-    Simulator,
+    ArqConfig, CostBook, JsonlTrace, LinkModel, LossyLink, SchedulerKind, SimNetwork, Simulator,
+    SyncLink,
 };
 use elink_topology::Topology;
 use proptest::prelude::*;
@@ -161,12 +161,12 @@ proptest! {
         let mode = [SignalMode::Implicit, SignalMode::Explicit, SignalMode::Unordered][mode_pick];
         // Implicit mode assumes a synchronous network.
         let delay = if sync || mode == SignalMode::Implicit {
-            DelayModel::Sync
+            LossyLink::from(SyncLink)
         } else {
-            DelayModel::Async { min: 1, max: 5 }
+            LossyLink::new(1, 5)
         };
         let run = |kind| {
-            run_traced(&topology, &features, config, mode, delay.into(), seed, None, kind)
+            run_traced(&topology, &features, config, mode, delay.clone().into(), seed, None, kind)
         };
         assert_equivalent(&run(SchedulerKind::Heap), &run(SchedulerKind::Calendar), "loss-free")?;
     }

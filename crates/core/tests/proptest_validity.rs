@@ -6,7 +6,7 @@ use elink_core::{
 };
 use elink_datasets::TerrainDataset;
 use elink_metric::{Absolute, Feature};
-use elink_netsim::{DelayModel, SimNetwork};
+use elink_netsim::{LossyLink, SimNetwork, SyncLink};
 use elink_topology::Topology;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -49,7 +49,7 @@ proptest! {
             &features,
             Arc::new(Absolute),
             config,
-            DelayModel::Async { min: 1, max: 5 },
+            LossyLink::new(1, 5),
             async_seed,
         );
         validate_delta_clustering(&exp.clustering, &topology, &features, &Absolute, delta)
@@ -60,7 +60,7 @@ proptest! {
             &features,
             Arc::new(Absolute),
             config,
-            DelayModel::Sync,
+            SyncLink,
             0,
         );
         validate_delta_clustering(&uno.clustering, &topology, &features, &Absolute, delta)
@@ -98,7 +98,7 @@ proptest! {
             &features,
             Arc::new(Absolute),
             config,
-            DelayModel::Sync,
+            SyncLink,
             0,
         );
         let (a, b) = (

@@ -8,7 +8,7 @@ use elink_core::{
     run_explicit, run_implicit, run_unordered, Clustering, ElinkConfig, ElinkOutcome,
 };
 use elink_metric::{DistanceMatrix, Feature, Metric};
-use elink_netsim::{DelayModel, SimNetwork};
+use elink_netsim::{LossyLink, SimNetwork, SyncLink};
 use elink_spectral::SpectralConfig;
 use elink_topology::Topology;
 use std::io::Write;
@@ -130,7 +130,7 @@ pub struct ScenarioBuilder {
     features: Vec<Feature>,
     metric: Arc<dyn Metric>,
     delta: DeltaSpec,
-    delay: DelayModel,
+    link: LossyLink,
     seed: u64,
 }
 
@@ -144,7 +144,7 @@ impl ScenarioBuilder {
             features,
             metric,
             delta: DeltaSpec::Quantile(0.5),
-            delay: DelayModel::Sync,
+            link: SyncLink.into(),
             seed: 0,
         }
     }
@@ -161,9 +161,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the link delay model used by explicit/unordered runs.
-    pub fn delay(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
+    /// Sets the link used by explicit/unordered runs, e.g.
+    /// `LossyLink::new(1, 6)` for §5's bounded asynchronous delays.
+    pub fn delay(mut self, link: impl Into<LossyLink>) -> Self {
+        self.link = link.into();
         self
     }
 
@@ -188,7 +189,7 @@ impl ScenarioBuilder {
             features: self.features,
             metric: self.metric,
             delta,
-            delay: self.delay,
+            link: self.link,
             seed: self.seed,
         }
     }
@@ -207,8 +208,8 @@ pub struct Scenario {
     pub metric: Arc<dyn Metric>,
     /// The resolved δ threshold.
     pub delta: f64,
-    /// Link delay model for explicit/unordered runs.
-    pub delay: DelayModel,
+    /// Link for explicit/unordered runs.
+    pub link: LossyLink,
     /// Link-randomness seed.
     pub seed: u64,
 }
@@ -239,7 +240,7 @@ impl Scenario {
         )
     }
 
-    /// Explicit ELink at the scenario δ over the scenario's delay model.
+    /// Explicit ELink at the scenario δ over the scenario's link.
     pub fn run_explicit(&self) -> ElinkOutcome {
         self.run_explicit_with(self.config())
     }
@@ -251,7 +252,7 @@ impl Scenario {
             &self.features,
             Arc::clone(&self.metric),
             config,
-            self.delay,
+            self.link.clone(),
             self.seed,
         )
     }
@@ -264,7 +265,7 @@ impl Scenario {
             &self.features,
             Arc::clone(&self.metric),
             config,
-            self.delay,
+            self.link.clone(),
             self.seed,
         )
     }
@@ -366,7 +367,7 @@ impl SuiteBench {
             &self.features,
             Arc::clone(&self.metric),
             config,
-            DelayModel::Sync,
+            SyncLink,
             0,
         );
         let sf = spanning_forest_clustering(topo, &self.features, self.metric.as_ref(), delta);

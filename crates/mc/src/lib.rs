@@ -52,8 +52,8 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     use elink_netsim::{
-        AsyncUniformLink, Canonicalize, Ctx, JsonlTrace, LinkModel, Protocol, ScriptedLink,
-        SimNetwork, Simulator, SyncLink,
+        Canonicalize, Ctx, JsonlTrace, LinkModel, LossyLink, Protocol, ScriptedLink, SimNetwork,
+        Simulator, SyncLink,
     };
     use elink_topology::Topology;
 
@@ -140,9 +140,9 @@ mod tests {
     /// exactly the engine's order.
     #[test]
     fn fifo_schedule_matches_engine_run() {
-        let link = AsyncUniformLink { min: 1, max: 3 };
+        let link = LossyLink::new(1, 3);
         let trace_a = Arc::new(Mutex::new(JsonlTrace::new(Vec::new())));
-        let mut plain = toy_sim(link.into(), 99);
+        let mut plain = toy_sim(link.clone().into(), 99);
         plain.set_trace(Arc::clone(&trace_a));
         plain.run_to_completion();
 

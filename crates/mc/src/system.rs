@@ -334,7 +334,7 @@ where
             "branching exploration requires a deterministic link model"
         );
         assert!(
-            self.sim.arq_config().is_none(),
+            !self.sim.arq_enabled(),
             "branching exploration does not support ARQ"
         );
         if self.sim.flow_model() {

@@ -17,7 +17,7 @@ use elink_core::{build_sim, Clustering, ElinkConfig, SignalMode};
 use elink_mc::McSystem;
 use elink_metric::{Absolute, Feature};
 use elink_netsim::{
-    ArqConfig, CostBook, DelayModel, JsonlTrace, LinkModel, LossyLink, SimNetwork, Simulator,
+    ArqConfig, CostBook, JsonlTrace, LinkModel, LossyLink, SimNetwork, Simulator, SyncLink,
 };
 use elink_topology::Topology;
 use proptest::prelude::*;
@@ -169,11 +169,11 @@ proptest! {
         let mode = [SignalMode::Implicit, SignalMode::Explicit, SignalMode::Unordered][mode_pick];
         // Implicit mode assumes a synchronous network.
         let delay = if sync || mode == SignalMode::Implicit {
-            DelayModel::Sync
+            LossyLink::from(SyncLink)
         } else {
-            DelayModel::Async { min: 1, max: 4 }
+            LossyLink::new(1, 4)
         };
-        run_case(&topology, &features, config, mode, || delay.into(), seed, None, "loss-free")?;
+        run_case(&topology, &features, config, mode, || delay.clone().into(), seed, None, "loss-free")?;
     }
 
     /// Lossy link + ARQ: retransmission timers, acks and dedup state all

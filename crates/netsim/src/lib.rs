@@ -38,10 +38,10 @@
 //! * [`link`] decides per-hop fate through one model, [`LossyLink`]:
 //!   bounded uniform delay, drop probability, scheduled node
 //!   crash/recover windows, partition masks and an optional capacity —
-//!   all seeded and deterministic. [`SyncLink`] (one tick per hop, §4),
-//!   [`AsyncUniformLink`] (bounded uniform delays, §5), [`FairShareLink`]
-//!   (capacity only) and the legacy [`DelayModel`] enum are presets that
-//!   convert into it. [`ScriptedLink`] replays model-checker schedules.
+//!   all seeded and deterministic. §4's synchronous links are the
+//!   [`SyncLink`] preset and §5's bounded uniform delays are
+//!   `LossyLink::new(min, max)`; [`FairShareLink`] (capacity only) is the
+//!   other preset. [`ScriptedLink`] replays model-checker schedules.
 //! * [`flow`] prices transmissions on a link with a capacity: each
 //!   directed link's capacity is shared max-min-fairly across in-flight
 //!   transfers through a [`FlowTable`] of tentative-completion events —
@@ -107,8 +107,7 @@ pub use canon::{canon_f64, fnv1a, Canonicalize};
 pub use engine::{Ctx, FlowsSnapshot, McEvent, Protocol, QueryId, SimNetwork, SimTime, Simulator};
 pub use flow::{FlowTable, LinkUtil};
 pub use link::{
-    AsyncUniformLink, DelayModel, FairShareLink, FlowParams, HopOutcome, LinkModel, LossyLink,
-    ScriptedLink, SyncLink,
+    FairShareLink, FlowParams, HopOutcome, LinkModel, LossyLink, ScriptedLink, SyncLink,
 };
 pub use metrics::{Histogram, Metrics, PhaseGuard, PhaseStats};
 pub use reliable::{ArqConfig, KIND_ACK, KIND_RETX};

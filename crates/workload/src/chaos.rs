@@ -67,7 +67,16 @@ impl FaultSpec {
     /// The deterministic crash victim set: `⌊n · crash_milli / 1000⌋`
     /// distinct nodes picked by a fixed stride walk, independent of any
     /// RNG so the same cell always kills the same nodes.
+    ///
+    /// # Panics
+    /// Panics if `crash_milli > 1000`: there are not that many distinct
+    /// nodes to pick.
     pub fn victims(&self, n: usize) -> Vec<NodeId> {
+        assert!(
+            self.crash_milli <= 1000,
+            "crash_milli {} exceeds 1000‰ of the nodes",
+            self.crash_milli
+        );
         let count = n * self.crash_milli as usize / 1000;
         let mut picked = BTreeSet::new();
         let mut v = 13 % n.max(1);
@@ -355,9 +364,7 @@ pub fn run_cell(
     // fleet degrades or sheds work *honestly* (explicit reduced-coverage
     // answers) instead of piling onto saturated links. The audit below
     // holds either way — shed and degraded answers are sound subsets.
-    if fault.capacity.is_some() {
-        opts.qos.load = Some(crate::qos::LoadAdmission::default());
-    }
+    opts.load_admission = fault.capacity.is_some();
     let sim = WorkloadSim::build_with_link(
         topology.clone(),
         features.to_vec(),
@@ -499,7 +506,6 @@ pub fn run_sub_cell(
     let recovery_opts = || {
         let mut opts = ServeOptions::for_delta(delta);
         opts.recovery = true;
-        opts.subscriptions = true;
         opts
     };
     let lossy = || {
@@ -734,6 +740,29 @@ mod tests {
             capacity: None,
         };
         assert!(f.victims(96).is_empty());
+    }
+
+    #[test]
+    fn full_crash_fraction_kills_everyone() {
+        let f = FaultSpec {
+            drop_milli: 0,
+            crash_milli: 1000,
+            partition: None,
+            capacity: None,
+        };
+        assert_eq!(f.victims(7), (0..7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 1000")]
+    fn crash_fraction_over_one_is_rejected() {
+        let f = FaultSpec {
+            drop_milli: 0,
+            crash_milli: 1001,
+            partition: None,
+            capacity: None,
+        };
+        let _ = f.victims(96);
     }
 
     #[test]

@@ -16,50 +16,45 @@
 use crate::gen::{Schedule, Template, WorkloadSpec};
 use crate::plan::ServingPlan;
 use crate::protocol::{CompletedQuery, ServeMsg, ServeNode, Shared};
-use crate::qos::QosConfig;
 use elink_core::{run_implicit, ElinkConfig};
 use elink_metric::{Feature, Metric};
 use elink_netsim::{
-    ArqConfig, CostBook, DelayModel, LinkModel, Metrics, SimNetwork, SimTime, Simulator,
+    ArqConfig, CostBook, LinkModel, Metrics, SimNetwork, SimTime, Simulator, SyncLink,
 };
 use elink_query::{Backbone, DistributedIndex};
 use elink_topology::{NodeId, Topology};
 use std::sync::Arc;
 
-/// Serving-layer knobs independent of the workload shape.
+/// Serving-layer switches independent of the workload shape. Everything
+/// else about serving is fixed: the batch window, the maintenance slack
+/// Δ = δ/4 (both in `protocol.rs`), and the subscription-table and
+/// load-ladder thresholds ([`crate::qos`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Enable routing-node result caches.
     pub cache_enabled: bool,
-    /// Batch window at cluster roots (ticks).
-    pub batch_window: SimTime,
-    /// Maintenance slack Δ handed to the §6 absorption rule.
-    pub slack: f64,
     /// Arm the failure-recovery layer: per-query deadlines with partial
     /// answers, convergecast re-issue, and leader failover. Off by default
     /// so fault-free runs behave (and bill) exactly as before; turn it on
     /// for any run whose link model can crash or partition nodes.
     pub recovery: bool,
-    /// Serving-QoS knobs of the standing-query subscription engine
-    /// (admission ladder, table bounds, adaptive windows).
-    pub qos: QosConfig,
-    /// Force-arm the subscription machinery (takeover announcements on
-    /// failover) even when the schedule carries no subscriptions — used by
-    /// harnesses that inject subscriptions manually.
-    pub subscriptions: bool,
+    /// Arm the load-admission ladder (DESIGN.md §15): work entering a
+    /// congested network is degraded or shed at the
+    /// [`crate::qos::DEGRADE_RATIO_MILLI`] / [`crate::qos::SHED_RATIO_MILLI`]
+    /// backlog ratios. Off by default, so queries and registrations see
+    /// only the table-occupancy ladder.
+    pub load_admission: bool,
 }
 
 impl ServeOptions {
-    /// Defaults for a clustering threshold δ: caches on, zero batch window
-    /// (same-tick coalescing only), Δ = δ/4, recovery off, default QoS.
-    pub fn for_delta(delta: f64) -> ServeOptions {
+    /// The defaults: caches on, recovery off, load admission off. None of
+    /// them depends on δ — the build derives Δ = δ/4 from the δ it is
+    /// given — so `delta` only documents the deployment at the call site.
+    pub fn for_delta(_delta: f64) -> ServeOptions {
         ServeOptions {
             cache_enabled: true,
-            batch_window: 0,
-            slack: delta / 4.0,
             recovery: false,
-            qos: QosConfig::default(),
-            subscriptions: false,
+            load_admission: false,
         }
     }
 }
@@ -133,14 +128,7 @@ impl WorkloadSim {
         opts: ServeOptions,
     ) -> WorkloadSim {
         Self::build_with_link(
-            topology,
-            features,
-            metric,
-            delta,
-            spec,
-            opts,
-            DelayModel::Sync,
-            None,
+            topology, features, metric, delta, spec, opts, SyncLink, None,
         )
     }
 
@@ -223,9 +211,7 @@ impl WorkloadSim {
             metric,
             topology: Arc::clone(&topology),
             delta,
-            slack: opts.slack,
             cache_enabled: opts.cache_enabled,
-            batch_window: opts.batch_window,
             recovery: opts.recovery,
             cluster_of,
             leaders,
@@ -235,8 +221,8 @@ impl WorkloadSim {
             backbone_peers_of,
             diameter,
             n_clusters,
-            qos: opts.qos,
-            expect_subs: opts.subscriptions || !schedule.subscriptions.is_empty(),
+            load_admission: opts.load_admission,
+            expect_subs: !schedule.subscriptions.is_empty(),
         });
         let nodes: Vec<ServeNode> = (0..n)
             .map(|v| {
@@ -345,10 +331,9 @@ impl WorkloadSim {
     }
 
     /// Injects one standing-subscription registration at `at` (must be ≥
-    /// current time). Only meaningful when the deployment was built with
-    /// subscriptions armed ([`ServeOptions::subscriptions`] or a schedule
-    /// with `n_subscribers > 0`) — otherwise leader failover will not
-    /// announce takeovers to the subscription layer.
+    /// current time). Only meaningful when the deployment's schedule
+    /// carries subscriptions (`n_subscribers > 0`) — otherwise leader
+    /// failover will not announce takeovers to the subscription layer.
     pub fn inject_subscribe(&mut self, at: SimTime, client: NodeId, sid: u64, template: u16) {
         self.sim
             .inject(at, client, ServeMsg::Subscribe { sid, template });

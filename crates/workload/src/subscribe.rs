@@ -172,19 +172,21 @@ pub struct TemplateView {
     pub trigger: Option<SimTime>,
 }
 
-impl TemplateView {
-    /// A fresh, empty view with the given flush-window bounds.
-    pub fn new(window_min: SimTime, window_max: SimTime) -> TemplateView {
+impl Default for TemplateView {
+    /// A fresh, empty view.
+    fn default() -> TemplateView {
         TemplateView {
             contrib: FlatMap::new(),
             merged: Vec::new(),
             covered: 0,
-            window: AdaptiveWindow::new(window_min, window_max),
+            window: AdaptiveWindow::default(),
             flush_armed: false,
             trigger: None,
         }
     }
+}
 
+impl TemplateView {
     /// Integrates one contribution; returns whether the merged view (or
     /// its coverage) changed. A contribution is accepted when the cluster
     /// is new, the origin changed (failover successor), or the sequence
@@ -362,7 +364,7 @@ impl SubEntry {
 
 /// Watcher-side state: this cluster root recomputes its cluster's
 /// contribution for a template on churn and reports it to coordinators.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WatchState {
     /// Coordinators to notify, ascending, deduplicated.
     pub coords: Vec<NodeId>,
@@ -390,23 +392,6 @@ pub struct WatchState {
 }
 
 impl WatchState {
-    /// A fresh watch with the given repair-window bounds.
-    pub fn new(window_min: SimTime, window_max: SimTime) -> WatchState {
-        WatchState {
-            coords: Vec::new(),
-            cseq: 0,
-            last: None,
-            dirty: false,
-            repairing: false,
-            armed: false,
-            window: AdaptiveWindow::new(window_min, window_max),
-            unacked: Vec::new(),
-            retry_armed: false,
-            retries: 0,
-            trigger: 0,
-        }
-    }
-
     /// Registers a coordinator (idempotent); returns whether it was new.
     pub fn add_coord(&mut self, coord: NodeId) -> bool {
         match self.coords.binary_search(&coord) {
@@ -517,7 +502,7 @@ mod tests {
 
     #[test]
     fn view_integration_is_per_origin_monotone() {
-        let mut v = TemplateView::new(1, 8);
+        let mut v = TemplateView::default();
         assert!(v.integrate(0, 10, 1, vec![1, 2], 5,));
         assert!(v.integrate(1, 20, 1, vec![7], 4));
         assert_eq!(v.merged, vec![1, 2, 7]);
@@ -561,7 +546,7 @@ mod tests {
 
     #[test]
     fn watch_coord_registration_dedups() {
-        let mut w = WatchState::new(1, 4);
+        let mut w = WatchState::default();
         assert!(w.add_coord(9));
         assert!(w.add_coord(3));
         assert!(!w.add_coord(9));

@@ -63,21 +63,34 @@ fn cached_answers_equal_uncached_answers() {
 
 /// A burst of same-template queries shares one descent: riders are
 /// recorded, every query completes, and all get the same (correct) answer.
+/// The batch window is zero, so the burst is timed to reach one cluster
+/// root in the same tick: eight initiators of the largest cluster each
+/// submit `hops(initiator, root)` ticks before a common arrival tick.
 #[test]
 fn same_tick_burst_batches_descents() {
     let spec = WorkloadSpec::quick(31);
-    let mut opts = ServeOptions::for_delta(DELTA);
-    opts.batch_window = 2;
-    let mut sim = build(3, opts, &spec);
+    let mut sim = build(3, ServeOptions::for_delta(DELTA), &spec);
     let template = 0u16;
-    let n = sim.sim().nodes().len();
     let truth = expected_matches(
         &sim.schedule().templates[template as usize],
         &sim.anchors(),
         &Absolute,
     );
-    for i in 0..8u64 {
-        sim.inject_query(1, (i as usize * 13) % n, 10_000 + i, template);
+    let roots: Vec<usize> = (sim.sim().nodes().iter())
+        .map(|nd| nd.plan().cluster_root)
+        .collect();
+    let root = (0..roots.len())
+        .max_by_key(|&r| roots.iter().filter(|&&x| x == r).count())
+        .expect("non-empty fleet");
+    let members: Vec<usize> = (0..roots.len()).filter(|&v| roots[v] == root).collect();
+    let routing = sim.sim().network().routing();
+    let hops: Vec<u64> = (0..8)
+        .map(|i| u64::from(routing.hops(members[i % members.len()], root).unwrap()))
+        .collect();
+    let arrival = 1 + hops.iter().max().unwrap();
+    for (i, h) in hops.iter().enumerate() {
+        let initiator = members[i % members.len()];
+        sim.inject_query(arrival - h, initiator, 10_000 + i as u64, template);
     }
     sim.quiesce();
     let metrics = sim.sim().metrics().clone();

@@ -257,15 +257,13 @@ fn contended_subscriptions_never_fire_spurious_retries() {
     let mut spec = WorkloadSpec::quick(11);
     spec.n_queries = 0;
     spec.n_subscribers = 6;
-    let mut opts = recovery_opts(delta);
-    opts.subscriptions = true;
     let mut sim = WorkloadSim::build_with_link(
         topo,
         features,
         Arc::clone(&metric),
         delta,
         &spec,
-        opts,
+        recovery_opts(delta),
         elink_netsim::FairShareLink::new(64),
         Some(ArqConfig::default()),
     );

@@ -7,7 +7,7 @@
 use elink_datasets::TerrainDataset;
 use elink_metric::{Absolute, Metric};
 use elink_netsim::{ArqConfig, LossyLink, SimNetwork};
-use elink_workload::{expected_matches, LoadAdmission, ServeOptions, WorkloadSim, WorkloadSpec};
+use elink_workload::{expected_matches, ServeOptions, WorkloadSim, WorkloadSpec};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -167,7 +167,7 @@ proptest! {
         spec.n_updates = 0; // truth = initial anchors under concurrency
         let mut opts = ServeOptions::for_delta(delta);
         opts.recovery = true;
-        opts.qos.load = Some(LoadAdmission::default());
+        opts.load_admission = true;
         let sim = WorkloadSim::build_with_link(
             topo,
             features.clone(),
