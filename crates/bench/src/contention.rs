@@ -92,6 +92,10 @@ pub struct ContentionPoint {
     pub link_busy_peak: i64,
     /// Peak concurrent flows on any single link.
     pub link_peak_flows: i64,
+    /// Engine events dispatched over the run.
+    pub events: u64,
+    /// Most events queued at once over the run.
+    pub peak_events: u64,
 }
 
 /// The sweep grid: each capacity is swept over every arrival gap, heaviest
@@ -179,6 +183,8 @@ pub fn run_point(
         links_used: run.metrics.gauge("net.links.used").unwrap_or(0),
         link_busy_peak: run.metrics.gauge("net.link.busy_peak_ticks").unwrap_or(0),
         link_peak_flows: run.metrics.gauge("net.link.peak_flows").unwrap_or(0),
+        events: run.events,
+        peak_events: run.peak_events as u64,
     }
 }
 
@@ -206,7 +212,8 @@ fn point_json(p: &ContentionPoint) -> String {
             "\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},",
             "\"served_p50\":{},\"served_p99\":{},\"served_max\":{},",
             "\"throughput_milli\":{},\"goodput_milli\":{},\"sim_ticks\":{},\"queued_ms\":{},",
-            "\"links_used\":{},\"link_busy_peak\":{},\"link_peak_flows\":{}}}"
+            "\"links_used\":{},\"link_busy_peak\":{},\"link_peak_flows\":{},",
+            "\"events\":{},\"peak_events\":{}}}"
         ),
         p.capacity,
         p.mean_gap,
@@ -231,6 +238,8 @@ fn point_json(p: &ContentionPoint) -> String {
         p.links_used,
         p.link_busy_peak,
         p.link_peak_flows,
+        p.events,
+        p.peak_events,
     )
 }
 
@@ -411,7 +420,7 @@ impl crate::Gate for ContentionGate {
             .iter()
             .map(|p| {
                 format!(
-                    "cap={:<3} gap={:<3} admission={:<5} offered={:<5.3}/tick done={:<4} adm={:<4} deg={:<3} shed={:<3} exact={:<4} p50={:<5} p99={:<5} served_p99={:<5} goodput={:<4}/ktick queued={:<6} busiest_link={}t",
+                    "cap={:<3} gap={:<3} admission={:<5} offered={:<5.3}/tick done={:<4} adm={:<4} deg={:<3} shed={:<3} exact={:<4} p50={:<5} p99={:<5} served_p99={:<5} goodput={:<4}/ktick queued={:<6} busiest_link={}t events={} peak_events={}",
                     p.capacity,
                     p.mean_gap,
                     p.admission,
@@ -427,6 +436,8 @@ impl crate::Gate for ContentionGate {
                     p.goodput_milli,
                     p.queued_ms,
                     p.link_busy_peak,
+                    p.events,
+                    p.peak_events,
                 )
             })
             .collect();
@@ -520,6 +531,8 @@ mod tests {
             links_used: 0,
             link_busy_peak: 0,
             link_peak_flows: 0,
+            events: 0,
+            peak_events: 0,
         };
         let mut points = Vec::new();
         for (gap, p99) in MEAN_GAPS.into_iter().zip([547, 585, 732, 1895]) {

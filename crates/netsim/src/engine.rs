@@ -23,7 +23,7 @@ use crate::flow::{FlowFired, FlowResched, FlowStarted, FlowTable, LinkUtil};
 use crate::link::{HopOutcome, LinkModel};
 use crate::metrics::Metrics;
 use crate::reliable::{self, ArqConfig, KIND_ACK, KIND_RETX};
-use crate::scheduler::{PoppedEvent, Scheduler, SchedulerKind};
+use crate::scheduler::{EventToken, PoppedEvent, Scheduler, SchedulerKind};
 use crate::stats::{CostBook, MessageStats};
 use crate::trace::{DropReason, TraceEvent, TraceSink};
 use elink_topology::{RoutingTable, Topology};
@@ -152,9 +152,12 @@ enum EventKind<M> {
     },
     /// Tentative completion of flow slot `flow` at generation `gen` under a
     /// flow-model link (engine-internal). Fires at the completion tick
-    /// predicted when it was scheduled; a generation mismatch at fire time
-    /// means a later link transition invalidated the prediction and the
-    /// event is ignored (the current prediction's event is still queued).
+    /// predicted when it was scheduled. When a later link transition moves
+    /// the prediction, the engine cancels this event in the scheduler and
+    /// queues the new one, so only current predictions ever fire. In
+    /// capture mode nothing is cancelled: the model checker may dispatch a
+    /// superseded event, whose generation mismatch marks it stale and
+    /// ignored.
     FlowDone {
         flow: u32,
         gen: u32,
@@ -461,6 +464,11 @@ struct Core<M> {
     /// [`FlowParams`](crate::link::FlowParams): every transmission is then
     /// priced through capacity sharing instead of [`LinkModel::hop`].
     flows: Option<FlowTable<FlowJob<M>>>,
+    /// The queued completion event of each flow slot, so a re-prediction
+    /// can cancel the one it supersedes. Indexed by flow slot; `None` once
+    /// the event fired. Always empty in capture mode, where nothing is
+    /// queued and superseded events are told apart by their generation.
+    flow_tokens: Vec<Option<EventToken>>,
     /// When present, [`Core::push`] appends to this buffer instead of the
     /// event queue — the model checker's capture seam. Everything else
     /// (billing, tracing, link decisions) runs unchanged, so a captured
@@ -492,10 +500,27 @@ impl<M> Core<M> {
     }
 
     /// Queues the tentative-completion events a flow-table transition
-    /// produced (new predictions and invalidation-driven reschedules alike).
+    /// produced (new predictions and invalidation-driven reschedules
+    /// alike). A re-predicted flow's previous completion is cancelled here
+    /// and counted under `net.flow.stale`; in capture mode it stays with
+    /// the checker and is recognized as stale when dispatched.
     fn push_flow_resched(&mut self, resched: Vec<FlowResched>) {
         for (flow, gen, at, node) in resched {
-            self.push(at, node, EventKind::FlowDone { flow, gen });
+            let kind = EventKind::FlowDone { flow, gen };
+            if self.capture.is_some() {
+                self.push(at, node, kind);
+                continue;
+            }
+            let slot = flow as usize;
+            if slot >= self.flow_tokens.len() {
+                self.flow_tokens.resize(slot + 1, None);
+            }
+            if let Some(old) = self.flow_tokens[slot].take() {
+                if self.queue.cancel(old) {
+                    self.metrics.inc("net.flow.stale");
+                }
+            }
+            self.flow_tokens[slot] = Some(self.queue.push(at, node, kind));
         }
     }
 
@@ -1180,6 +1205,7 @@ impl<P: Protocol> Simulator<P> {
                 events_processed: 0,
                 arq: None,
                 flows,
+                flow_tokens: Vec::new(),
                 capture: None,
                 dead_override: BTreeSet::new(),
             },
@@ -1484,17 +1510,26 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Handles a tentative flow completion: stale generations are counted
-    /// and dropped; a valid completion settles the link (freeing capacity
-    /// for the survivors, whose new predictions are queued) and dispatches
-    /// the stored continuation through the ordinary event path.
+    /// Handles a tentative flow completion: a valid completion settles the
+    /// link (freeing capacity for the survivors, whose new predictions are
+    /// queued) and dispatches the stored continuation through the ordinary
+    /// event path. Superseded completions are cancelled before they fire,
+    /// except in capture mode, where a stale generation is counted and
+    /// dropped here.
     fn flow_fire(&mut self, time: SimTime, node: usize, flow: u32, gen: u32) {
         let Some(table) = &mut self.core.flows else {
             debug_assert!(false, "FlowDone without a flow table");
             return;
         };
+        if let Some(token) = self.core.flow_tokens.get_mut(flow as usize) {
+            *token = None;
+        }
         match table.fire(flow, gen, time) {
             FlowFired::Stale => {
+                debug_assert!(
+                    self.core.capture.is_some(),
+                    "a superseded flow completion escaped cancellation"
+                );
                 self.core.metrics.inc("net.flow.stale");
             }
             FlowFired::Done {
@@ -1726,6 +1761,7 @@ impl<P: Protocol> Simulator<P> {
             "flow snapshot does not match the installed link model"
         );
         self.core.flows = snap.0.clone();
+        self.core.flow_tokens.clear();
     }
 
     /// Whether the engine prices transmissions through a flow table (the
@@ -2735,7 +2771,7 @@ mod tests {
     #[test]
     fn flow_gauges_summarize_utilization() {
         let network = SimNetwork::new(Topology::grid(1, 2));
-        let nodes = (0..2).map(|_| Burst2 { k: 3 }).collect();
+        let nodes = (0..2).map(|_| Burst2 { k: 3, scalars: 1 }).collect();
         let mut sim = Simulator::new(network, FairShareLink::new(1), 0, nodes);
         sim.run_to_completion();
         sim.record_flow_gauges();
@@ -2750,19 +2786,53 @@ mod tests {
         assert_eq!(m.gauge("net.flows.active"), Some(0));
     }
 
+    /// Node 0 sends `k` messages of `scalars` payload scalars to node 1 at
+    /// boot, all onto the one directed link `0 → 1`.
     struct Burst2 {
         k: u64,
+        scalars: u64,
     }
     impl Protocol for Burst2 {
         type Msg = ();
         fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
             if ctx.id() == 0 {
                 for _ in 0..self.k {
-                    ctx.send(1, (), "burst", 1);
+                    ctx.send(1, (), "burst", self.scalars);
                 }
             }
         }
         fn on_message(&mut self, _f: usize, _m: (), _c: &mut Ctx<'_, ()>) {}
+    }
+
+    /// A burst of k equal flows on one link re-predicts every earlier flow
+    /// at each arrival. The superseded completions are cancelled, not left
+    /// queued: the queue never holds more than the k current predictions
+    /// (plus slack for boot), while `net.flow.stale` still counts every
+    /// superseded prediction, k(k−1)/2 of them.
+    #[test]
+    fn superseded_flow_completions_leave_the_queue() {
+        // Capacity lcm(1..=16) with flows of the same size: i flows share
+        // it exactly, so every flow is predicted to finish at tick i and
+        // each arrival moves every sibling.
+        const K: u64 = 16;
+        const CAP: u64 = 720_720;
+        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
+            let network = SimNetwork::new(Topology::grid(1, 2));
+            let nodes = (0..2).map(|_| Burst2 { k: K, scalars: CAP }).collect();
+            let mut sim = Simulator::new(network, FairShareLink::new(CAP), 0, nodes);
+            sim.set_scheduler(kind);
+            assert_eq!(sim.run_to_completion(), K, "{kind:?}: all drain at K");
+            assert_eq!(
+                sim.metrics().counter("net.flow.stale"),
+                K * (K - 1) / 2,
+                "{kind:?}"
+            );
+            assert!(
+                sim.peak_live_events() as u64 <= K + 2,
+                "{kind:?}: peak {} live events for {K} flows",
+                sim.peak_live_events()
+            );
+        }
     }
 
     #[test]

@@ -26,9 +26,13 @@
 //! 2. **recomputes** each unfinished flow's predicted completion
 //!    `now + ⌈remaining / rate⌉`, and
 //! 3. **reschedules** a *tentative completion event* for every flow whose
-//!    prediction moved, bumping the flow's generation counter so the
-//!    previously queued event is recognized as stale and ignored when it
-//!    fires.
+//!    prediction moved, bumping the flow's generation counter. The engine
+//!    cancels the superseded event in its scheduler at that moment (and
+//!    counts it under `net.flow.stale`), so a dead prediction never
+//!    occupies the queue or gets dispatched. The generation stays the
+//!    backstop: in the model checker's capture mode nothing is queued or
+//!    cancelled, and a superseded event that is dispatched anyway is
+//!    recognized as stale and ignored.
 //!
 //! Between transitions rates are constant, so predictions made at a
 //! transition are exact: a completion event that fires with a current
@@ -62,13 +66,12 @@
 
 use crate::engine::SimTime;
 use crate::link::FlowParams;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A tentative-completion event's address: which flow, and which
 /// *generation* of that flow's prediction. The engine queues
-/// `(flow, gen, at, node)` as a `FlowDone` event; when it fires, a
-/// generation mismatch means the prediction was invalidated by a later
-/// link transition and the event is ignored.
+/// `(flow, gen, at, node)` as a `FlowDone` event, cancelling the flow's
+/// previous one; if a superseded event fires anyway (capture mode), the
+/// generation mismatch marks it stale and it is ignored.
 pub type FlowResched = (u32, u32, SimTime, usize);
 
 /// Outcome of starting a flow: where (and when) its tentative completion
@@ -85,7 +88,9 @@ pub struct FlowStarted {
 /// Outcome of a tentative-completion event firing.
 pub enum FlowFired<T> {
     /// The event's generation was invalidated by a later transition —
-    /// ignore it; the flow's current tentative event is still queued.
+    /// ignore it; the flow's current tentative event is still pending.
+    /// Only reachable in capture mode: outside it the engine cancels
+    /// superseded events before they fire.
     Stale,
     /// The flow completed: deliver `payload` now.
     Done {
@@ -135,6 +140,9 @@ struct Flow<T> {
 /// Per-directed-link sharing state.
 #[derive(Default, Clone)]
 struct LinkState {
+    /// Destination of the link (the source is its row in
+    /// [`FlowTable::links`]).
+    to: u32,
     /// In-flight flow slots, in start order.
     flows: Vec<u32>,
     /// Last settle tick (progress applied up to here).
@@ -157,9 +165,11 @@ pub struct FlowTable<T> {
     /// stale event addressing a recycled slot can never validate.
     flows: Vec<Option<Flow<T>>>,
     free: Vec<u32>,
-    links: BTreeMap<(u32, u32), LinkState>,
-    /// Links with at least one flow in flight (the horizon scan set).
-    active_links: BTreeSet<(u32, u32)>,
+    /// Every link that ever carried a flow, in one row per source node,
+    /// each row sorted by destination: a lookup is a binary search over
+    /// one node's out-links, and walking the rows in order visits links in
+    /// ascending `(from, to)`.
+    links: Vec<Vec<LinkState>>,
     /// Generation watermark per slot (monotone across reuse).
     slot_gen: Vec<u32>,
     active: usize,
@@ -174,12 +184,42 @@ impl<T> FlowTable<T> {
             params,
             flows: Vec::new(),
             free: Vec::new(),
-            links: BTreeMap::new(),
-            active_links: BTreeSet::new(),
+            links: Vec::new(),
             slot_gen: Vec::new(),
             active: 0,
             peak_active: 0,
         }
+    }
+
+    /// The state of `link`, created empty on its first flow.
+    fn link_entry(links: &mut Vec<Vec<LinkState>>, (from, to): (u32, u32)) -> &mut LinkState {
+        let from = from as usize;
+        if from >= links.len() {
+            links.resize_with(from + 1, Vec::new);
+        }
+        let row = &mut links[from];
+        let i = match row.binary_search_by_key(&to, |s| s.to) {
+            Ok(i) => i,
+            Err(i) => {
+                row.insert(
+                    i,
+                    LinkState {
+                        to,
+                        ..LinkState::default()
+                    },
+                );
+                i
+            }
+        };
+        &mut row[i]
+    }
+
+    /// Links that ever carried a flow, ascending by `(from, to)`.
+    fn links_in_order(&self) -> impl Iterator<Item = ((u32, u32), &LinkState)> {
+        self.links
+            .iter()
+            .enumerate()
+            .flat_map(|(from, row)| row.iter().map(move |s| ((from as u32, s.to), s)))
     }
 
     /// Applies elapsed progress to every unfinished flow on `link`.
@@ -251,15 +291,6 @@ impl<T> FlowTable<T> {
         let size_milli = scalars.max(1).saturating_mul(1000);
         let uncontended = size_milli.div_ceil(self.params.capacity_milli).max(1);
 
-        let state = self.links.entry(link).or_default();
-        if state.flows.is_empty() {
-            state.last_settle = now;
-        }
-        // Settle the link under the pre-arrival rate before membership
-        // changes.
-        let pre_rate = (self.params.capacity_milli / state.flows.len().max(1) as u64).max(1);
-        Self::settle(&mut self.flows, state, pre_rate, now);
-
         // Allocate the slot (generation watermark survives reuse).
         let slot = match self.free.pop() {
             Some(s) => s,
@@ -285,12 +316,20 @@ impl<T> FlowTable<T> {
             uncontended,
             payload: Some(payload),
         });
-        let state = self.links.get_mut(&link).expect("entry created above"); // simlint: allow(no-panic-in-protocol): inserted by the entry() call above, cannot fail
+
+        let state = Self::link_entry(&mut self.links, link);
+        if state.flows.is_empty() {
+            state.last_settle = now;
+        }
+        // Settle the link under the pre-arrival rate before membership
+        // changes (settling reads only the link's members, so the new flow
+        // is untouched).
+        let pre_rate = (self.params.capacity_milli / state.flows.len().max(1) as u64).max(1);
+        Self::settle(&mut self.flows, state, pre_rate, now);
         state.flows.push(slot);
         state.util.peak_flows = state.util.peak_flows.max(state.flows.len() as u64);
         self.active += 1;
         self.peak_active = self.peak_active.max(self.active);
-        self.active_links.insert(link);
 
         let rate = (self.params.capacity_milli / state.flows.len().max(1) as u64).max(1);
         let mut resched = Vec::new();
@@ -323,7 +362,7 @@ impl<T> FlowTable<T> {
             .as_ref()
             .map(|f| f.link)
             .expect("validated above"); // simlint: allow(no-panic-in-protocol): validated two lines up, cannot fail
-        let state = self.links.get_mut(&link).expect("flow's link is active"); // simlint: allow(no-panic-in-protocol): a live flow's link entry always exists
+        let state = Self::link_entry(&mut self.links, link);
         let rate = (self.params.capacity_milli / state.flows.len().max(1) as u64).max(1);
         Self::settle(&mut self.flows, state, rate, now);
 
@@ -339,13 +378,9 @@ impl<T> FlowTable<T> {
         state.flows.retain(|&s| s != slot);
         self.free.push(slot);
         self.active -= 1;
-        if state.flows.is_empty() {
-            self.active_links.remove(&link);
-        }
 
         let rate = (self.params.capacity_milli / state.flows.len().max(1) as u64).max(1);
         let mut resched = Vec::new();
-        let state = self.links.get(&link).expect("still present"); // simlint: allow(no-panic-in-protocol): entry persists for utilization stats
         Self::recompute(&mut self.flows, state, rate, now, &mut resched);
 
         let sojourn = now.saturating_sub(flow.enqueued);
@@ -362,17 +397,12 @@ impl<T> FlowTable<T> {
     /// horizon [`Ctx::max_delivery_delay`](crate::Ctx::max_delivery_delay)
     /// reports for flow links. Zero when the network is idle.
     pub fn horizon(&self, now: SimTime) -> u64 {
-        let mut max = 0u64;
-        for link in &self.active_links {
-            if let Some(state) = self.links.get(link) {
-                for &slot in &state.flows {
-                    if let Some(flow) = self.flows.get(slot as usize).and_then(Option::as_ref) {
-                        max = max.max(flow.predicted_finish.saturating_sub(now));
-                    }
-                }
-            }
-        }
-        max
+        self.flows
+            .iter()
+            .flatten()
+            .map(|flow| flow.predicted_finish.saturating_sub(now))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Uncontended sojourn of a `scalars`-sized transfer: solo service
@@ -396,9 +426,8 @@ impl<T> FlowTable<T> {
     /// appear once they have carried at least one flow and persist after
     /// draining, so end-of-run reads see the whole history.
     pub fn link_stats(&self) -> Vec<((usize, usize), LinkUtil)> {
-        self.links
-            .iter()
-            .map(|(&(a, b), s)| ((a as usize, b as usize), s.util))
+        self.links_in_order()
+            .map(|((a, b), s)| ((a as usize, b as usize), s.util))
             .collect()
     }
 
@@ -419,7 +448,7 @@ impl<T> FlowTable<T> {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = write!(out, "fl[c{}", self.params.capacity_milli);
-        for (&(from, to), state) in &self.links {
+        for ((from, to), state) in self.links_in_order() {
             if state.flows.is_empty() {
                 continue;
             }

@@ -111,7 +111,7 @@ pub use link::{
 };
 pub use metrics::{Histogram, Metrics, PhaseGuard, PhaseStats};
 pub use reliable::{ArqConfig, KIND_ACK, KIND_RETX};
-pub use scheduler::{EventHandle, Scheduler, SchedulerKind};
+pub use scheduler::{EventHandle, EventToken, Scheduler, SchedulerKind};
 pub use stats::{
     qid_kind, CostBook, KindStats, MessageStats, NodeStats, QID_SUB_CONTROL, QID_SUB_PUSH,
     QID_SUB_REPAIR,

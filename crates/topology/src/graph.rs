@@ -169,6 +169,8 @@ impl CommGraph {
 }
 
 /// All-pairs shortest-path next-hop routing, built with one BFS per node.
+/// Each BFS writes its tree and its hop counts straight into the table, in
+/// the visiting order of [`CommGraph::bfs_tree`] and [`CommGraph::bfs_hops`].
 ///
 /// `next_hop(src, dst)` gives the neighbor of `src` on a shortest path to
 /// `dst`; `hops(src, dst)` gives the path length. Storage is `O(n²)` which is
@@ -181,6 +183,8 @@ pub struct RoutingTable {
     parent_towards: Vec<u32>,
     /// Flattened `n × n` hop counts.
     hops: Vec<u32>,
+    /// Largest finite hop count in `hops`.
+    diameter: u32,
 }
 
 impl RoutingTable {
@@ -189,17 +193,46 @@ impl RoutingTable {
         let n = graph.n();
         let mut parent_towards = vec![u32::MAX; n * n];
         let mut hops = vec![u32::MAX; n * n];
+        let mut diameter = 0;
+        // BFS queue as a Vec with a read cursor, reused across roots.
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
         for dst in 0..n {
-            let tree = graph.bfs_tree(dst);
-            let dist = graph.bfs_hops(dst);
-            parent_towards[dst * n..(dst + 1) * n].copy_from_slice(&tree);
-            hops[dst * n..(dst + 1) * n].copy_from_slice(&dist);
+            let parent = &mut parent_towards[dst * n..(dst + 1) * n];
+            let dist = &mut hops[dst * n..(dst + 1) * n];
+            parent[dst] = dst as u32;
+            dist[dst] = 0;
+            queue.clear();
+            queue.push(dst as u32);
+            let mut head = 0;
+            while let Some(&v) = queue.get(head) {
+                head += 1;
+                let dv = dist[v as usize];
+                for &w in graph.neighbors(v as usize) {
+                    if parent[w as usize] == u32::MAX {
+                        parent[w as usize] = v;
+                        dist[w as usize] = dv + 1;
+                        queue.push(w);
+                    }
+                }
+            }
+            // BFS visits by nondecreasing distance: the last node reached
+            // is the farthest from `dst`.
+            let last = queue[queue.len() - 1];
+            diameter = diameter.max(dist[last as usize]);
         }
         RoutingTable {
             n,
             parent_towards,
             hops,
+            diameter,
         }
+    }
+
+    /// The largest finite hop count between any two nodes: the graph's
+    /// diameter when it is connected, the largest component diameter
+    /// otherwise (0 for an empty or edgeless graph).
+    pub fn diameter(&self) -> u32 {
+        self.diameter
     }
 
     /// Next hop from `src` towards `dst`. `None` if `src == dst` or
@@ -362,6 +395,21 @@ mod proptests {
             })
     }
 
+    /// Possibly disconnected: sparse random edges over up to 30 nodes.
+    fn random_graph() -> impl Strategy<Value = CommGraph> {
+        (
+            1usize..30,
+            proptest::collection::vec((0usize..1000, 0usize..1000), 0..40),
+        )
+            .prop_map(|(n, edges)| {
+                let mut g = CommGraph::new(n);
+                for (a, b) in edges {
+                    g.add_edge(a % n, b % n);
+                }
+                g
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -374,6 +422,28 @@ mod proptests {
                     let dw = d[w as usize] as i64;
                     prop_assert!((dv - dw).abs() <= 1);
                 }
+            }
+        }
+
+        #[test]
+        fn fused_build_matches_per_root_bfs(
+            sparse in random_graph(),
+            connected in random_connected_graph(),
+        ) {
+            for g in [&sparse, &connected] {
+                let rt = RoutingTable::build(g);
+                let n = g.n();
+                for dst in 0..n {
+                    let row = dst * n..(dst + 1) * n;
+                    prop_assert_eq!(&rt.parent_towards[row.clone()], &g.bfs_tree(dst)[..]);
+                    prop_assert_eq!(&rt.hops[row], &g.bfs_hops(dst)[..]);
+                }
+                let scanned = (0..n)
+                    .flat_map(|a| (0..n).map(move |b| (a, b)))
+                    .filter_map(|(a, b)| rt.hops(a, b))
+                    .max()
+                    .unwrap_or(0);
+                prop_assert_eq!(rt.diameter(), scanned);
             }
         }
 

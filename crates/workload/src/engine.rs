@@ -104,6 +104,10 @@ pub struct WorkloadRun {
     pub metrics: Metrics,
     /// Final simulated time.
     pub sim_ticks: SimTime,
+    /// Engine events dispatched over the run.
+    pub events: u64,
+    /// Most events queued at once over the run.
+    pub peak_events: usize,
     /// Number of clusters in the deployment.
     pub n_clusters: usize,
     /// Number of nodes.
@@ -201,11 +205,7 @@ impl WorkloadSim {
                     .collect()
             })
             .collect();
-        let diameter: u64 = (0..n)
-            .flat_map(|a| (0..n).map(move |b| (a, b)))
-            .filter_map(|(a, b)| routing.hops(a, b))
-            .max()
-            .unwrap_or(0) as u64;
+        let diameter = u64::from(routing.diameter());
         let shared = Arc::new(Shared {
             templates: schedule.templates.clone(),
             metric,
@@ -431,6 +431,8 @@ impl WorkloadSim {
             costs,
             metrics: self.sim.take_metrics(),
             sim_ticks,
+            events: self.sim.events_processed(),
+            peak_events: self.sim.peak_live_events(),
             n_clusters: self.n_clusters,
             n_nodes: self.sim.nodes().len(),
             subscriptions,
