@@ -339,10 +339,98 @@ pub fn apply_diff_sorted(view: &mut Vec<NodeId>, adds: &[NodeId], removes: &[Nod
     }
 }
 
+/// Merges pairwise-disjoint runs of ids into one ascending list in linear
+/// time: each id sets its bit in a bitset sized to the largest id, and the
+/// set bits are read back in order. This costs O(Σ|run| + max id / 64),
+/// where concatenating and sorting costs O(m log m). It is how a query
+/// coordinator combines the per-cluster answers of a convergecast: the
+/// clusters partition the nodes, so their runs are disjoint by
+/// construction. Debug builds assert that no id appears twice.
+pub fn merge_runs<'a>(runs: impl IntoIterator<Item = &'a [NodeId]>) -> Vec<NodeId> {
+    let mut words: Vec<u64> = Vec::new();
+    let mut len = 0;
+    for run in runs {
+        for &id in run {
+            let (w, bit) = (id / 64, 1u64 << (id % 64));
+            if w >= words.len() {
+                words.resize(w + 1, 0);
+            }
+            debug_assert!(words[w] & bit == 0, "id {id} appears in two runs");
+            words[w] |= bit;
+            len += 1;
+        }
+    }
+    let mut out = Vec::with_capacity(len);
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::{BTreeMap, BTreeSet};
+
+    fn merged(runs: &[&[NodeId]]) -> Vec<NodeId> {
+        merge_runs(runs.iter().copied())
+    }
+
+    #[test]
+    fn merge_runs_of_nothing_is_empty() {
+        assert_eq!(merged(&[]), Vec::<NodeId>::new());
+        assert_eq!(merged(&[&[], &[]]), Vec::<NodeId>::new());
+    }
+
+    #[test]
+    fn merge_runs_keeps_a_single_run_and_skips_empty_ones() {
+        assert_eq!(merged(&[&[2, 5, 9]]), vec![2, 5, 9]);
+        assert_eq!(merged(&[&[], &[2, 5, 9], &[]]), vec![2, 5, 9]);
+    }
+
+    #[test]
+    fn merge_runs_interleaves_across_word_boundaries() {
+        // Ids on both sides of 64 and 128, a largest id (199) that is not
+        // the last bit of its word, and runs that interleave.
+        let runs: [&[NodeId]; 4] = [&[0, 63, 130], &[1, 64, 199], &[127, 128], &[62, 65]];
+        assert_eq!(
+            merged(&runs),
+            vec![0, 1, 62, 63, 64, 65, 127, 128, 130, 199]
+        );
+        // Runs arriving in any order, each sorted or not, merge alike.
+        let rev: [&[NodeId]; 4] = [&[65, 62], &[128, 127], &[199, 64, 1], &[130, 63, 0]];
+        assert_eq!(merged(&rev), merged(&runs));
+    }
+
+    #[test]
+    fn merge_runs_equals_sort_of_the_concatenation() {
+        // Deal a scrambled permutation of 0..n (n = 301, not a multiple
+        // of 64) into uneven runs.
+        let n = 301;
+        let mut ids: Vec<NodeId> = (0..n).collect();
+        let mut x: u64 = 0x9E3779B97F4A7C15;
+        for i in (1..n).rev() {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ids.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        let runs: Vec<&[NodeId]> = ids[..250].chunks(37).collect();
+        let mut expect = ids[..250].to_vec();
+        expect.sort_unstable();
+        assert_eq!(merge_runs(runs), expect);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "appears in two runs")]
+    fn merge_runs_rejects_overlapping_runs_in_debug_builds() {
+        merged(&[&[3, 70], &[70]]);
+    }
 
     #[test]
     fn node_table_round_trips_ids() {

@@ -642,7 +642,8 @@ impl<M> Core<M> {
     /// [`Core::transmit`] per hop of the shortest path. Fixed pricing walks
     /// the whole route now, drawing every hop delay at send time; capacity
     /// pricing queues the next leg, and `Simulator::flow_relay` resumes the
-    /// walk when it completes.
+    /// walk when it completes. The query's ledger is billed once per walk,
+    /// for every hop transmitted (the lost one included), not once per hop.
     fn forward(&mut self, mut cur: usize, mut t: SimTime, leg: Relay<M>) {
         // Materialize the lazy table up front, then walk it through a
         // cloned handle so the loop below can borrow `self` mutably.
@@ -652,12 +653,14 @@ impl<M> Core<M> {
         let (src, dst, query) = (leg.src, leg.dst, leg.query);
         let (kind, scalars) = (leg.kind, leg.scalars);
         let mut job = Some(FlowJob::Relay(leg));
+        let mut hops = 0;
         loop {
             let next = routing
                 .next_hop(cur, dst)
                 // simlint: allow(no-panic-in-protocol): the sender checked the destination is routable, so every prefix of the path is routable; a miss is engine corruption, not an injected fault
                 .expect("routing invariant: prefix of a known path");
-            match self.transmit(cur, next, t, kind, scalars, query, &mut job) {
+            hops += 1;
+            match self.transmit(cur, next, t, kind, scalars, None, &mut job) {
                 Hop::Lost => {
                     self.trace(TraceEvent::Drop {
                         time: t,
@@ -666,9 +669,9 @@ impl<M> Core<M> {
                         reason: DropReason::Loss,
                         query,
                     });
-                    return;
+                    break;
                 }
-                Hop::Queued(_) => return,
+                Hop::Queued(_) => break,
                 Hop::Arrives(at) if next == dst => {
                     // Final-hop reception is recorded at dispatch time,
                     // where liveness is re-checked.
@@ -684,15 +687,18 @@ impl<M> Core<M> {
                             },
                         );
                     }
-                    return;
+                    break;
                 }
                 Hop::Arrives(at) => {
                     if !self.relay_receives(next, at, src, dst, query) {
-                        return;
+                        break;
                     }
                     (cur, t) = (next, at);
                 }
             }
+        }
+        if let Some(qid) = query {
+            self.costs.attribute_query(qid, hops, scalars);
         }
     }
 }

@@ -98,6 +98,15 @@ struct Crash {
     until: Option<SimTime>,
 }
 
+/// The entries of `node` in `sorted`, a list ordered by `node_of`: two
+/// binary searches instead of a scan of every crash, since liveness is
+/// checked on every hop, delivery and timer.
+fn node_range<T>(sorted: &[T], node: usize, node_of: impl Fn(&T) -> usize) -> &[T] {
+    let lo = sorted.partition_point(|c| node_of(c) < node);
+    let hi = lo + sorted[lo..].partition_point(|c| node_of(c) == node);
+    &sorted[lo..hi]
+}
+
 /// A scheduled network partition: hops crossing between the two sides are
 /// dropped during the window.
 #[derive(Debug, Clone)]
@@ -143,6 +152,7 @@ pub struct LossyLink {
     /// under overload is unbounded, so a capacity link has no hard bound).
     delay_cap: u64,
     drop_prob: f64,
+    /// Sorted by node, so liveness checks visit only that node's windows.
     crashes: Vec<Crash>,
     partition: Option<Partition>,
     /// When set, the link also advertises [`FlowParams`]: transmissions are
@@ -203,8 +213,14 @@ impl LossyLink {
         if let Some(u) = until {
             assert!(u > from, "crash window must be non-empty");
         }
-        self.crashes.push(Crash { node, from, until });
+        let at = self.crashes.partition_point(|c| c.node <= node);
+        self.crashes.insert(at, Crash { node, from, until });
         self
+    }
+
+    /// The crash windows of `node`.
+    fn crashes_of(&self, node: usize) -> &[Crash] {
+        node_range(&self.crashes, node, |c| c.node)
     }
 
     /// Partitions the network during `[from, until)`: hops between a node
@@ -255,15 +271,15 @@ impl LinkModel for LossyLink {
 
     fn is_alive(&self, node: usize, time: SimTime) -> bool {
         !self
-            .crashes
+            .crashes_of(node)
             .iter()
-            .any(|c| c.node == node && time >= c.from && c.until.is_none_or(|u| time < u))
+            .any(|c| time >= c.from && c.until.is_none_or(|u| time < u))
     }
 
     fn crashed_in_window(&self, node: usize, after: SimTime, upto: SimTime) -> bool {
-        self.crashes
+        self.crashes_of(node)
             .iter()
-            .any(|c| c.node == node && c.from > after && c.from <= upto)
+            .any(|c| c.from > after && c.from <= upto)
     }
 
     fn is_deterministic(&self) -> bool {
@@ -401,6 +417,7 @@ pub struct ScriptedLink {
     /// Interior-mutable because [`LinkModel::hop`] takes `&self`; the engine
     /// calls it single-threaded.
     script: std::cell::RefCell<std::collections::BTreeMap<(usize, usize), VecDeque<HopOutcome>>>,
+    /// `(node, at)` crash points, sorted by node.
     crashes: Vec<(usize, SimTime)>,
 }
 
@@ -434,7 +451,13 @@ impl ScriptedLink {
 
     /// Crashes `node` permanently from tick `at` onwards.
     pub fn crash(&mut self, node: usize, at: SimTime) {
-        self.crashes.push((node, at));
+        let i = self.crashes.partition_point(|&(v, _)| v <= node);
+        self.crashes.insert(i, (node, at));
+    }
+
+    /// The crash points of `node`.
+    fn crashes_of(&self, node: usize) -> &[(usize, SimTime)] {
+        node_range(&self.crashes, node, |&(v, _)| v)
     }
 }
 
@@ -452,13 +475,13 @@ impl LinkModel for ScriptedLink {
     }
 
     fn is_alive(&self, node: usize, time: SimTime) -> bool {
-        !self.crashes.iter().any(|&(v, at)| v == node && time >= at)
+        !self.crashes_of(node).iter().any(|&(_, at)| time >= at)
     }
 
     fn crashed_in_window(&self, node: usize, after: SimTime, upto: SimTime) -> bool {
-        self.crashes
+        self.crashes_of(node)
             .iter()
-            .any(|&(v, at)| v == node && at > after && at <= upto)
+            .any(|&(_, at)| at > after && at <= upto)
     }
 
     fn is_deterministic(&self) -> bool {
@@ -650,6 +673,56 @@ mod tests {
         let mut b = StdRng::seed_from_u64(42);
         for t in 0..200 {
             assert_eq!(link.hop(0, 1, t, &mut a), link.hop(0, 1, t, &mut b));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The per-node crash index answers every liveness question exactly
+        /// as a scan of the whole crash list does, for both link types,
+        /// with several windows per node inserted in any order.
+        #[test]
+        fn indexed_crash_lookup_equals_linear_scan(
+            windows in proptest::collection::vec(
+                (0usize..6, 0u64..40, 1u64..20, proptest::bool::weighted(0.3)),
+                0..24,
+            ),
+            probes in proptest::collection::vec((0usize..7, 0u64..70, 0u64..70), 1..40),
+        ) {
+            let mut lossy = LossyLink::new(1, 1);
+            let mut scripted = ScriptedLink::pristine(1);
+            for &(node, from, len, forever) in &windows {
+                lossy = lossy.with_crash(node, from, (!forever).then_some(from + len));
+                scripted.crash(node, from);
+            }
+            let all: Vec<(usize, SimTime, Option<SimTime>)> = windows
+                .iter()
+                .map(|&(node, from, len, forever)| (node, from, (!forever).then_some(from + len)))
+                .collect();
+            for &(node, a, b) in &probes {
+                let (after, upto) = (a.min(b), a.max(b));
+                let down = |v: usize, f: SimTime, u: Option<SimTime>| {
+                    v == node && a >= f && u.is_none_or(|u| a < u)
+                };
+                let opened = |v: usize, f: SimTime| v == node && f > after && f <= upto;
+                proptest::prop_assert_eq!(
+                    lossy.is_alive(node, a),
+                    !all.iter().any(|&(v, f, u)| down(v, f, u))
+                );
+                proptest::prop_assert_eq!(
+                    lossy.crashed_in_window(node, after, upto),
+                    all.iter().any(|&(v, f, _)| opened(v, f))
+                );
+                proptest::prop_assert_eq!(
+                    scripted.is_alive(node, a),
+                    !all.iter().any(|&(v, f, _)| down(v, f, None))
+                );
+                proptest::prop_assert_eq!(
+                    scripted.crashed_in_window(node, after, upto),
+                    all.iter().any(|&(v, f, _)| opened(v, f))
+                );
+            }
         }
     }
 }

@@ -64,7 +64,7 @@ use crate::gen::{ScriptEntry, Template};
 use crate::plan::{ChildEntry, NodePlan};
 use crate::qos::{self, Admission};
 use crate::subscribe::{end_reason, ClientSub, PushVerdict, SubState, TemplateView, WatchState};
-use elink_core::node_table::{FlatMap, FlatSet, NodeHandle, NodeTable};
+use elink_core::node_table::{merge_runs, FlatMap, FlatSet, NodeHandle, NodeTable};
 use elink_core::slack_conditions_hold;
 use elink_metric::{Feature, Metric};
 use elink_netsim::{
@@ -204,8 +204,10 @@ pub enum ServeMsg {
     BackAgg {
         /// Query id.
         qid: QueryId,
-        /// Matches from the sender's backbone subtree.
-        matches: Vec<NodeId>,
+        /// Matches from the sender's backbone subtree, one ascending run
+        /// per cluster that had any. Clusters partition the nodes, so the
+        /// runs are disjoint and the coordinator merges them once.
+        runs: Vec<Arc<[NodeId]>>,
         /// Nodes whose membership in the answer this subtree determined.
         covered: u64,
     },
@@ -448,8 +450,10 @@ struct EchoState {
     outstanding: Vec<usize>,
     /// Whether the local cluster answer is still being computed.
     local_pending: bool,
-    /// Matches accumulated so far.
-    acc: Vec<NodeId>,
+    /// Matches accumulated so far, one run per cluster (the local answer
+    /// and each peer subtree's runs), never sorted together before the
+    /// coordinator.
+    acc: Vec<Arc<[NodeId]>>,
     /// Nodes whose membership the wave has determined so far.
     covered: u64,
     /// Whether the one re-issue round has been spent.
@@ -1025,7 +1029,9 @@ impl ServeNode {
         };
         match self.local_cluster_eval(qid, template, ctx) {
             LocalEval::Resolved(m, covered) => {
-                st.acc.extend(m);
+                if !m.is_empty() {
+                    st.acc.push(m.into());
+                }
                 st.covered += covered;
             }
             LocalEval::Pending => st.local_pending = true,
@@ -1145,30 +1151,37 @@ impl ServeNode {
     }
 
     /// Converges the (possibly partial) echo result towards whoever asked.
-    fn finish_echo(&mut self, qid: QueryId, mut st: EchoState, ctx: &mut Ctx<'_, ServeMsg>) {
-        st.acc.sort_unstable();
-        st.acc.dedup();
-        let scalars = st.acc.len() as u64 + 1;
+    /// A backbone node forwards its per-cluster runs as they are; only the
+    /// coordinator merges them, once per query. The runs are disjoint, so
+    /// their total length is the size of the answer and the wire cost is
+    /// that of the merged list.
+    // simlint: hot
+    fn finish_echo(&mut self, qid: QueryId, st: EchoState, ctx: &mut Ctx<'_, ServeMsg>) {
         if let Some(p) = st.parent {
+            let scalars = st.acc.iter().map(|r| r.len() as u64).sum::<u64>() + 1;
             ctx.unicast_tagged(
                 p,
                 ServeMsg::BackAgg {
                     qid,
-                    matches: st.acc,
+                    runs: st.acc,
                     covered: st.covered,
                 },
                 "wl_backagg",
                 scalars,
                 qid,
             );
-        } else if st.initiator == self.id {
-            self.deliver_answer(qid, st.acc, st.covered, false, ctx);
+            return;
+        }
+        let matches = merge_runs(st.acc.iter().map(|r| &r[..]));
+        if st.initiator == self.id {
+            self.deliver_answer(qid, matches, st.covered, false, ctx);
         } else {
+            let scalars = matches.len() as u64 + 1;
             ctx.unicast_tagged(
                 st.initiator,
                 ServeMsg::Down {
                     qid,
-                    matches: st.acc,
+                    matches,
                     covered: st.covered,
                 },
                 "wl_down",
@@ -1423,9 +1436,14 @@ impl ServeNode {
             ctx.metrics()
                 .add("wl.batch.riders", riders.len() as u64 - 1);
         } else {
+            // One shared run for every rider's echo: the answer is copied
+            // once per descent, not once per rider.
+            let run: Option<Arc<[NodeId]>> = (!matches.is_empty()).then(|| matches.into());
             for &qid in riders {
                 if let Some(st) = self.echo.get_mut(&qid) {
-                    st.acc.extend_from_slice(&matches);
+                    if let Some(run) = &run {
+                        st.acc.push(Arc::clone(run));
+                    }
                     st.covered += covered;
                     st.local_pending = false;
                 }
@@ -2498,18 +2516,14 @@ impl Protocol for ServeNode {
                     ctx.metrics().inc("wl.misroute");
                 }
             }
-            ServeMsg::BackAgg {
-                qid,
-                matches,
-                covered,
-            } => {
+            ServeMsg::BackAgg { qid, runs, covered } => {
                 if let Some(st) = self.echo.get_mut(&qid) {
                     // Deduplicate by peer *cluster*: after a re-issue both
                     // the slow original leader and its successor may answer.
                     let pc = self.shared.cluster_of[from];
                     if let Some(pos) = st.outstanding.iter().position(|&c| c == pc) {
                         st.outstanding.remove(pos);
-                        st.acc.extend_from_slice(&matches);
+                        st.acc.extend(runs);
                         st.covered += covered;
                     }
                 }

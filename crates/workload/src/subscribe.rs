@@ -35,7 +35,7 @@
 //! `protocol.rs` so this module stays unit-testable in isolation.
 
 use crate::qos::AdaptiveWindow;
-use elink_core::node_table::{apply_diff_sorted, diff_sorted, FlatMap, FlatSet};
+use elink_core::node_table::{apply_diff_sorted, diff_sorted, merge_runs, FlatMap, FlatSet};
 use elink_netsim::SimTime;
 use elink_topology::NodeId;
 
@@ -229,13 +229,7 @@ impl TemplateView {
 
     /// Recomputes `merged`/`covered`; returns whether either changed.
     fn remerge(&mut self) -> bool {
-        let mut merged: Vec<NodeId> = self
-            .contrib
-            .values()
-            .flat_map(|c| c.matches.iter().copied())
-            .collect();
-        merged.sort_unstable();
-        merged.dedup();
+        let merged = merge_runs(self.contrib.values().map(|c| c.matches.as_slice()));
         let covered: u64 = self.contrib.values().map(|c| c.covered).sum();
         let changed = merged != self.merged || covered != self.covered;
         self.merged = merged;

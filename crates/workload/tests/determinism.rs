@@ -208,3 +208,35 @@ fn closed_loop_same_seed_determinism() {
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.completed, b.completed);
 }
+
+/// The echo convergecast forwards per-cluster runs up the backbone and the
+/// coordinator merges them once. Runs are disjoint, so the wire bill of
+/// `BackAgg` and `Down` is exactly that of flat, deduplicated lists: both
+/// are pinned here for a deployment whose backbone has relaying levels,
+/// and every answer must equal the ground truth.
+#[test]
+fn echo_runs_keep_convergecast_costs_and_answers() {
+    let mut spec = WorkloadSpec::quick(7);
+    spec.n_updates = 0; // truth = initial anchors under concurrency
+    let sim = build(2, ServeOptions::for_delta(DELTA), &spec);
+    let anchors = sim.anchors();
+    let templates = sim.schedule().templates.clone();
+    let relays = sim
+        .sim()
+        .nodes()
+        .iter()
+        .filter(|nd| nd.plan().backbone_peers.len() >= 2)
+        .count();
+    assert!(relays > 0, "backbone has no relaying level");
+    let run = sim.run_concurrent();
+    assert_eq!(run.completed.len(), spec.n_queries);
+    for c in &run.completed {
+        let truth = expected_matches(&templates[c.template as usize], &anchors, &Absolute);
+        assert_eq!(c.matches, truth, "qid {} answer", c.qid);
+    }
+    // The bill of flat, deduplicated answer lists, which the runs must
+    // reproduce exactly.
+    let (back, down) = (run.costs.kind("wl_backagg"), run.costs.kind("wl_down"));
+    assert_eq!((back.packets, back.cost), (1500, 12317), "wl_backagg bill");
+    assert_eq!((down.packets, down.cost), (81, 2625), "wl_down bill");
+}
