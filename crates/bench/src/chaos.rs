@@ -1,11 +1,14 @@
 //! The seeded fault campaign behind `BENCH_chaos.json` (schema
-//! `elink-chaos/v3`).
+//! `elink-chaos/v4`).
 //!
 //! The gate fails if any cell breaks liveness (a surviving initiator's
 //! query wedged) or soundness (an answer disagreed with ground truth), or
 //! if the pure-loss cells degraded any answer — loss alone must be
 //! invisible behind the ARQ sublayer — or if a crash cell performed no
-//! failover. The standing-subscription cells (leader crash
+//! failover. It also holds the recovery deadlines to their contract
+//! (DESIGN.md §10.2): in a crash-free cell no deadline may fire against
+//! live state, and in a cell without capacity no query may outlast twice
+//! its initiator's idle-network watchdog. The standing-subscription cells (leader crash
 //! mid-subscription) must each observe a real failover, keep at least one
 //! subscription alive, and deliver pushes; their push-soundness
 //! violations count towards soundness.
@@ -70,7 +73,7 @@ impl crate::Gate for ChaosGate {
         );
         for c in &report.cells {
             out.push_str(&format!(
-                "\n  drop={}m crash={}m part={} cap={} | done={}/{} exact={} partial={} cov_mean={}m | adm={} deg={} shed={} queued={} | retx={} timeouts={} failovers={} violations={}",
+                "\n  drop={}m crash={}m part={} cap={} | done={}/{} exact={} partial={} cov_mean={}m | adm={} deg={} shed={} queued={} | retx={} timeouts={} failovers={} | reissued={} echo_gaveup={} eval_gaveup={} resubmitted={} | p50={} p99={} makespan={} late={} | violations={}",
                 c.fault.drop_milli,
                 c.fault.crash_milli,
                 c.fault.partition.is_some(),
@@ -87,6 +90,14 @@ impl crate::Gate for ChaosGate {
                 c.retx,
                 c.timeouts,
                 c.failovers,
+                c.reissued,
+                c.echo_gaveup,
+                c.eval_gaveup,
+                c.resubmitted,
+                c.latency_p50_ticks,
+                c.latency_p99_ticks,
+                c.makespan_ticks,
+                c.late,
                 c.violations
             ));
         }
@@ -131,6 +142,22 @@ impl crate::Gate for ChaosGate {
                 out.push(format!(
                     "pure loss (drop={}m) degraded {} answers — ARQ must absorb loss completely",
                     c.fault.drop_milli, c.partial
+                ));
+            }
+            // The loss-only contract: without crashes every wave finishes
+            // inside its budget, so no deadline fires against live state.
+            if c.fault.crash_milli == 0 && c.deadlines_fired() {
+                out.push(format!(
+                    "crash-free cell (drop={}m) fired recovery deadlines: reissued={} echo_gaveup={} eval_gaveup={} resubmitted={}",
+                    c.fault.drop_milli, c.reissued, c.echo_gaveup, c.eval_gaveup, c.resubmitted
+                ));
+            }
+            // Without capacity the delivery envelope never stretches, so
+            // two idle watchdogs bound every query.
+            if c.fault.capacity.is_none() && c.late > 0 {
+                out.push(format!(
+                    "cell (drop={}m crash={}m) answered {} queries after twice their idle watchdog",
+                    c.fault.drop_milli, c.fault.crash_milli, c.late
                 ));
             }
             if c.fault.crash_milli > 0 && c.failovers == 0 {

@@ -485,12 +485,14 @@ struct Core<M> {
 }
 
 impl<M> Core<M> {
-    fn push(&mut self, time: SimTime, node: usize, kind: EventKind<M>) {
+    /// Queues an event and returns its cancellation token, or captures it
+    /// (and returns `None`: a captured event belongs to the checker).
+    fn push(&mut self, time: SimTime, node: usize, kind: EventKind<M>) -> Option<EventToken> {
         if let Some(buf) = &mut self.capture {
             buf.push(McEvent { time, node, kind });
-            return;
+            return None;
         }
-        self.queue.push(time, node, kind);
+        Some(self.queue.push(time, node, kind))
     }
 
     fn trace(&mut self, event: TraceEvent) {
@@ -838,6 +840,13 @@ impl<M: Clone> Core<M> {
     }
 }
 
+/// Names one timer armed by [`Ctx::set_timer`], for [`Ctx::cancel_timer`].
+/// Holding a token is harmless once its timer fired: cancelling it then
+/// returns `false` and touches nothing. Tokens minted in capture mode name
+/// no queued event and cancel nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerToken(Option<EventToken>);
+
 /// The per-callback handle protocols use to interact with the network.
 pub struct Ctx<'a, M> {
     core: &'a mut Core<M>,
@@ -1106,15 +1115,30 @@ impl<'a, M: Clone> Ctx<'a, M> {
         self.core.network.routing().hops(self.node, dst)
     }
 
-    /// Schedules `on_timer(id)` for this node after `delay` ticks. The timer
-    /// is lost if the node is down when it would fire, and also if the node
-    /// crashed at any point between now and the firing time — a reboot
-    /// clears pending timers along with the rest of volatile state.
-    pub fn set_timer(&mut self, delay: SimTime, id: u64) {
+    /// Schedules `on_timer(id)` for this node after `delay` ticks and
+    /// returns a token for [`Ctx::cancel_timer`]. The timer is lost if the
+    /// node is down when it would fire, and also if the node crashed at any
+    /// point between now and the firing time — a reboot clears pending
+    /// timers along with the rest of volatile state.
+    pub fn set_timer(&mut self, delay: SimTime, id: u64) -> TimerToken {
         let now = self.core.now;
         let node = self.node;
-        self.core
-            .push(now + delay, node, EventKind::Timer { id, scheduled: now });
+        TimerToken(
+            self.core
+                .push(now + delay, node, EventKind::Timer { id, scheduled: now }),
+        )
+    }
+
+    /// Withdraws a timer armed by [`Ctx::set_timer`], so it never fires.
+    /// Returns `false`, and does nothing, when the timer already fired or
+    /// was cancelled. In capture mode nothing is cancelled: the model
+    /// checker owns every captured timer, and a protocol's handler must
+    /// recognize a timer that fires after its wave finished.
+    pub fn cancel_timer(&mut self, token: TimerToken) -> bool {
+        match token.0 {
+            Some(t) if self.core.capture.is_none() => self.core.queue.cancel(t),
+            _ => false,
+        }
     }
 
     /// Records an out-of-band charge against the cost book — used by
@@ -1267,6 +1291,13 @@ impl<P: Protocol> Simulator<P> {
     /// Whether the ARQ reliable-delivery sublayer is enabled.
     pub fn arq_enabled(&self) -> bool {
         self.core.arq.is_some()
+    }
+
+    /// Worst-case ticks for one successful neighbor delivery on an idle
+    /// network: what [`Ctx::nominal_delivery_delay`] reports to handlers,
+    /// readable before and after a run.
+    pub fn nominal_delivery_delay(&self) -> u64 {
+        self.core.delivery_bound(false)
     }
 
     /// Attaches a [`TraceSink`] observing every engine event. Wrap the sink
@@ -2839,6 +2870,77 @@ mod tests {
                 sim.peak_live_events()
             );
         }
+    }
+
+    /// Node 0 arms a short timer and a long one, cancels the long one at
+    /// once, and from the short one's handler tries to cancel both again.
+    #[derive(Clone, Default)]
+    struct Alarm {
+        tokens: Vec<TimerToken>,
+        cancels: Vec<bool>,
+        fired: Vec<(u64, SimTime)>,
+    }
+
+    impl Protocol for Alarm {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            if ctx.id() == 0 {
+                self.tokens.push(ctx.set_timer(5, 1));
+                self.tokens.push(ctx.set_timer(30, 2));
+                let long = self.tokens[1];
+                self.cancels.push(ctx.cancel_timer(long));
+            }
+        }
+        fn on_message(&mut self, _f: usize, _m: (), _c: &mut Ctx<'_, ()>) {}
+        fn on_timer(&mut self, id: u64, ctx: &mut Ctx<'_, ()>) {
+            self.fired.push((id, ctx.now()));
+            for t in self.tokens.clone() {
+                self.cancels.push(ctx.cancel_timer(t));
+            }
+        }
+    }
+
+    fn alarm_sim(kind: SchedulerKind) -> Simulator<Alarm> {
+        let network = SimNetwork::new(Topology::grid(1, 2));
+        let mut sim = Simulator::new(network, SyncLink, 0, vec![Alarm::default(); 2]);
+        sim.set_scheduler(kind);
+        sim
+    }
+
+    #[test]
+    fn cancelled_timer_never_fires() {
+        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
+            let mut sim = alarm_sim(kind);
+            // The clock stops at the surviving timer: a cancelled one
+            // neither fires nor advances simulated time.
+            assert_eq!(sim.run_to_completion(), 5, "{kind:?}");
+            assert_eq!(sim.nodes()[0].fired, vec![(1, 5)], "{kind:?}");
+            assert!(sim.nodes()[0].cancels[0], "{kind:?}: a live timer cancels");
+        }
+    }
+
+    #[test]
+    fn cancelling_a_fired_timer_returns_false() {
+        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
+            let mut sim = alarm_sim(kind);
+            sim.run_to_completion();
+            // From the short timer's own handler: it has fired, and the
+            // long one is already cancelled.
+            assert_eq!(sim.nodes()[0].cancels, vec![true, false, false], "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn cancel_timer_does_nothing_in_capture_mode() {
+        let mut sim = alarm_sim(SchedulerKind::Calendar);
+        let boot = sim.capture_boot();
+        let timers: Vec<SimTime> = boot
+            .iter()
+            .filter(|ev| ev.is_timer())
+            .map(|ev| ev.time())
+            .collect();
+        assert_eq!(timers, vec![5, 30], "the cancelled timer stays captured");
+        assert_eq!(sim.nodes()[0].cancels, vec![false]);
     }
 
     #[test]

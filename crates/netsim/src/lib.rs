@@ -104,7 +104,9 @@ pub mod stats;
 pub mod trace;
 
 pub use canon::{canon_f64, fnv1a, Canonicalize};
-pub use engine::{Ctx, FlowsSnapshot, McEvent, Protocol, QueryId, SimNetwork, SimTime, Simulator};
+pub use engine::{
+    Ctx, FlowsSnapshot, McEvent, Protocol, QueryId, SimNetwork, SimTime, Simulator, TimerToken,
+};
 pub use flow::{FlowTable, LinkUtil};
 pub use link::{
     FairShareLink, FlowParams, HopOutcome, LinkModel, LossyLink, ScriptedLink, SyncLink,

@@ -29,6 +29,7 @@
 
 use crate::engine::{expected_matches, ServeOptions, WorkloadSim};
 use crate::gen::WorkloadSpec;
+use crate::report::percentile;
 use elink_metric::{Feature, Metric};
 use elink_netsim::{ArqConfig, FairShareLink, LossyLink, SimTime};
 use elink_topology::{NodeId, Topology};
@@ -39,8 +40,10 @@ use std::sync::Arc;
 /// `sub_cells` array (standing-subscription fault cells); v3 added
 /// composed capacity × loss × crash cells, the load-admission overload
 /// columns (`admitted`/`degraded`/`shed`), and sub-cell capacity +
-/// queueing columns.
-pub const CHAOS_SCHEMA: &str = "elink-chaos/v3";
+/// queueing columns; v4 added the recovery-deadline counters
+/// (`reissued`/`echo_gaveup`/`eval_gaveup`/`resubmitted`), the latency
+/// columns and `late`.
+pub const CHAOS_SCHEMA: &str = "elink-chaos/v4";
 
 /// One cell of the fault grid. All faults are active from the start of
 /// serving: deployment (clustering, index, backbone, plan distribution)
@@ -156,11 +159,36 @@ pub struct ChaosCell {
     pub shed: u64,
     /// Leader failover takeovers.
     pub failovers: u64,
+    /// Echo and descent deadlines that fired against live state and spent
+    /// their re-issue round (`wl.recover.reissue`).
+    pub reissued: u64,
+    /// Echoes that gave up and converged partial (`wl.recover.echo_gaveup`).
+    pub echo_gaveup: u64,
+    /// Descents that gave up and completed partial
+    /// (`wl.recover.eval_gaveup`).
+    pub eval_gaveup: u64,
+    /// Initiator watchdogs that resubmitted (`wl.recover.resubmit`).
+    pub resubmitted: u64,
+    /// Median completed-query latency in ticks (nearest rank).
+    pub latency_p50_ticks: u64,
+    /// 99th-percentile completed-query latency in ticks (nearest rank).
+    pub latency_p99_ticks: u64,
+    /// Simulated time at which the run went quiet.
+    pub makespan_ticks: u64,
+    /// Completed queries that took longer than twice their initiator's
+    /// watchdog on an idle network — the longest a resubmission round can
+    /// last.
+    pub late: u64,
     /// Soundness-contract violations (must be zero).
     pub violations: u64,
 }
 
 impl ChaosCell {
+    /// Whether any recovery deadline fired against live state.
+    pub fn deadlines_fired(&self) -> bool {
+        self.reissued + self.echo_gaveup + self.eval_gaveup + self.resubmitted > 0
+    }
+
     fn json(&self) -> String {
         let (pfrom, puntil) = self.fault.partition.unwrap_or((0, 0));
         format!(
@@ -174,7 +202,12 @@ impl ChaosCell {
                 "\"gave_up\":{},\"retx\":{},\"timeouts\":{},",
                 "\"queued_ms\":{},",
                 "\"admitted\":{},\"degraded\":{},\"shed\":{},",
-                "\"failovers\":{},\"violations\":{}}}"
+                "\"failovers\":{},",
+                "\"reissued\":{},\"echo_gaveup\":{},\"eval_gaveup\":{},",
+                "\"resubmitted\":{},",
+                "\"latency_p50_ticks\":{},\"latency_p99_ticks\":{},",
+                "\"makespan_ticks\":{},\"late\":{},",
+                "\"violations\":{}}}"
             ),
             self.fault.drop_milli,
             self.fault.crash_milli,
@@ -197,6 +230,14 @@ impl ChaosCell {
             self.degraded,
             self.shed,
             self.failovers,
+            self.reissued,
+            self.echo_gaveup,
+            self.eval_gaveup,
+            self.resubmitted,
+            self.latency_p50_ticks,
+            self.latency_p99_ticks,
+            self.makespan_ticks,
+            self.late,
             self.violations,
         )
     }
@@ -382,6 +423,15 @@ pub fn run_cell(
         .iter()
         .filter(|s| !victims.contains(&s.initiator))
         .count() as u64;
+    // The latest a query may finish: two idle-network watchdogs, its
+    // original round and the resubmission, after which it is answered.
+    let mut latest: Vec<(u64, SimTime)> = sim
+        .schedule()
+        .submissions
+        .iter()
+        .map(|s| (s.qid, 2 * sim.idle_watchdog_ticks(s.initiator)))
+        .collect();
+    latest.sort_unstable();
     let run = sim.run_concurrent();
 
     let mut exact = 0u64;
@@ -389,7 +439,17 @@ pub fn run_cell(
     let mut violations = 0u64;
     let mut cov_sum = 0u64;
     let mut cov_min = 1000u64;
+    let mut late = 0u64;
+    let mut latencies = Vec::with_capacity(run.completed.len());
     for c in &run.completed {
+        let latency = c.finished - c.submitted;
+        latencies.push(latency);
+        let bound = latest
+            .binary_search_by_key(&c.qid, |&(q, _)| q)
+            .map_or(0, |i| latest[i].1);
+        if latency > bound {
+            late += 1;
+        }
         let truth = expected_matches(&templates[c.template as usize], features, metric.as_ref());
         let sound = c.matches.iter().all(|m| truth.contains(m));
         let full = c.coverage_milli == 1000;
@@ -408,6 +468,7 @@ pub fn run_cell(
         cov_min = cov_min.min(u64::from(c.coverage_milli));
     }
     let done = run.completed.len() as u64;
+    latencies.sort_unstable();
     ChaosCell {
         fault,
         crashed: victims.len() as u64,
@@ -425,6 +486,14 @@ pub fn run_cell(
         degraded: run.metrics.counter("serve.degraded"),
         shed: run.metrics.counter("serve.shed"),
         failovers: run.metrics.counter("maint.failover"),
+        reissued: run.metrics.counter("wl.recover.reissue"),
+        echo_gaveup: run.metrics.counter("wl.recover.echo_gaveup"),
+        eval_gaveup: run.metrics.counter("wl.recover.eval_gaveup"),
+        resubmitted: run.metrics.counter("wl.recover.resubmit"),
+        latency_p50_ticks: percentile(&latencies, 50),
+        latency_p99_ticks: percentile(&latencies, 99),
+        makespan_ticks: run.sim_ticks,
+        late,
         violations,
     }
 }
@@ -793,6 +862,14 @@ mod tests {
                 degraded: 0,
                 shed: 0,
                 failovers: 2,
+                reissued: 3,
+                echo_gaveup: 1,
+                eval_gaveup: 1,
+                resubmitted: 1,
+                latency_p50_ticks: 40,
+                latency_p99_ticks: 9000,
+                makespan_ticks: 9500,
+                late: 0,
                 violations: 0,
             }],
             sub_cells: vec![SubChaosCell {
@@ -818,7 +895,10 @@ mod tests {
             }],
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\":\"elink-chaos/v3\""));
+        assert!(json.contains("\"schema\":\"elink-chaos/v4\""));
+        assert!(json.contains("\"reissued\":3,\"echo_gaveup\":1,\"eval_gaveup\":1,"));
+        assert!(json.contains("\"latency_p50_ticks\":40,\"latency_p99_ticks\":9000,"));
+        assert!(report.cells[0].deadlines_fired());
         assert!(json.contains("\"sub_cells\":[{\"drop_milli\":150,\"capacity\":64"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(report.all_sound());

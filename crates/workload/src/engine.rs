@@ -14,7 +14,7 @@
 //!   equal the brute-force ground truth over anchors).
 
 use crate::gen::{Schedule, Template, WorkloadSpec};
-use crate::plan::ServingPlan;
+use crate::plan::{DeadlinePlan, ServingPlan};
 use crate::protocol::{CompletedQuery, ServeMsg, ServeNode, Shared};
 use elink_core::{run_implicit, ElinkConfig};
 use elink_metric::{Feature, Metric};
@@ -65,6 +65,7 @@ pub struct WorkloadSim {
     schedule: Schedule,
     plan_costs: CostBook,
     n_clusters: usize,
+    shared: Arc<Shared>,
 }
 
 /// Final state of one standing subscription, read off its client node at
@@ -205,7 +206,11 @@ impl WorkloadSim {
                     .collect()
             })
             .collect();
-        let diameter = u64::from(routing.diameter());
+        let deadlines = DeadlinePlan::build(
+            &outcome.clustering,
+            &backbone,
+            u64::from(routing.diameter()),
+        );
         let shared = Arc::new(Shared {
             templates: schedule.templates.clone(),
             metric,
@@ -219,8 +224,7 @@ impl WorkloadSim {
             tree_parent,
             tree_children,
             backbone_peers_of,
-            diameter,
-            n_clusters,
+            deadlines,
             load_admission: opts.load_admission,
             expect_subs: !schedule.subscriptions.is_empty(),
         });
@@ -283,6 +287,7 @@ impl WorkloadSim {
             schedule,
             plan_costs,
             n_clusters: outcome.clustering.cluster_count(),
+            shared,
         }
     }
 
@@ -294,6 +299,24 @@ impl WorkloadSim {
     /// Number of clusters in the deployment.
     pub fn n_clusters(&self) -> usize {
         self.n_clusters
+    }
+
+    /// The plan quantities this deployment's recovery deadlines are sized
+    /// from.
+    pub fn deadline_plan(&self) -> &DeadlinePlan {
+        &self.shared.deadlines
+    }
+
+    /// The initiator watchdog a query submitted at `initiator` arms on an
+    /// idle network: [`DeadlinePlan::watchdog`] for its cluster at the
+    /// idle delivery envelope. A query that waits out two of them has
+    /// spent its resubmission round and is answered, so on a transport
+    /// whose envelope never stretches no query outlasts twice this.
+    pub fn idle_watchdog_ticks(&self, initiator: NodeId) -> u64 {
+        self.shared.deadlines.watchdog(
+            self.shared.cluster_of[initiator],
+            self.sim.nominal_delivery_delay(),
+        )
     }
 
     /// Current anchor features across the fleet (the ground-truth state

@@ -44,7 +44,7 @@ pub use chaos::{
 };
 pub use engine::{expected_matches, ServeOptions, WorkloadRun, WorkloadSim};
 pub use gen::{build_schedule, Arrival, Schedule, Template, WorkloadSpec};
-pub use plan::{ChildEntry, NodePlan, ServingPlan};
+pub use plan::{ChildEntry, DeadlinePlan, NodePlan, ServingPlan};
 pub use protocol::{CompletedQuery, ServeMsg, ServeNode, Shared};
 pub use qos::{AdaptiveWindow, Admission};
 pub use report::{percentile, LatencySummary, SloReport, SCHEMA};

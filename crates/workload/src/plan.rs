@@ -15,6 +15,7 @@
 //! dictionary.
 
 use crate::gen::Template;
+use crate::protocol::BATCH_WINDOW;
 use elink_core::Clustering;
 use elink_metric::Feature;
 use elink_netsim::CostBook;
@@ -52,6 +53,117 @@ pub struct NodePlan {
     pub members: Vec<NodeId>,
     /// Backbone-adjacent cluster leaders — populated at cluster roots only.
     pub backbone_peers: Vec<NodeId>,
+}
+
+/// The static plan quantities the recovery deadlines are sized from
+/// (DESIGN.md §10.2): how tall each cluster tree is, and how many backbone
+/// levels an echo spans from each seat. Multiplied by the delivery envelope
+/// `D` in force when a deadline is armed, they give one budget per wave
+/// instead of the fleet-wide worst case.
+#[derive(Debug, Clone)]
+pub struct DeadlinePlan {
+    /// Network diameter in hops: one routed transit crosses at most this
+    /// many links.
+    pub diameter: u64,
+    /// Height of every cluster tree in edges, by cluster index.
+    pub tree_height: Vec<u64>,
+    /// Backbone eccentricity of every cluster in backbone edges: the
+    /// height of the echo tree a coordinator there spans.
+    pub backbone_ecc: Vec<u64>,
+    /// Per cluster, its backbone neighbors with the height (in backbone
+    /// edges) of this cluster's backbone subtree away from each: what an
+    /// echo participant reached from that neighbor is responsible for.
+    pub backbone_away: Vec<Vec<(usize, u64)>>,
+    /// The largest of `tree_height`.
+    tallest: u64,
+}
+
+impl DeadlinePlan {
+    /// Reads the heights off the cluster trees and the leader backbone.
+    /// The backbone is a tree over `k` clusters; every cluster is rooted
+    /// once, so the build costs O(k²) on top of one parent walk per node.
+    pub fn build(clustering: &Clustering, backbone: &Backbone, diameter: u64) -> DeadlinePlan {
+        let mut tree_height = vec![0u64; clustering.cluster_count()];
+        for v in 0..clustering.n() {
+            let h = &mut tree_height[clustering.cluster_of(v)];
+            *h = (*h).max(clustering.tree_depth(v) as u64);
+        }
+        let k = backbone.cluster_count();
+        let mut backbone_away: Vec<Vec<(usize, u64)>> = (0..k)
+            .map(|c| backbone.neighbors(c).iter().map(|&(p, _)| (p, 0)).collect())
+            .collect();
+        let mut backbone_ecc = vec![0u64; k];
+        let mut height = vec![0u64; k];
+        let mut edges = Vec::with_capacity(k);
+        for root in 0..k {
+            edges.clear();
+            backbone.walk_from(root, |p, c, _| edges.push((p, c)));
+            height.fill(0);
+            // Discovery order lists a parent edge before its child's
+            // edges, so the reverse settles every subtree first.
+            for &(p, c) in edges.iter().rev() {
+                height[p] = height[p].max(height[c] + 1);
+                if let Some(slot) = backbone_away[c].iter_mut().find(|(q, _)| *q == p) {
+                    slot.1 = height[c];
+                }
+            }
+            backbone_ecc[root] = height[root];
+        }
+        DeadlinePlan {
+            diameter,
+            tallest: tree_height.iter().copied().max().unwrap_or(0),
+            tree_height,
+            backbone_ecc,
+            backbone_away,
+        }
+    }
+
+    /// Worst-case one-way transit of a routed (multi-hop) message when one
+    /// neighbor delivery takes at most `d` ticks.
+    pub fn transit(&self, d: u64) -> u64 {
+        (self.diameter + 1) * d
+    }
+
+    /// Descent budget in `cluster`: down and up its tree, plus a routed
+    /// round trip for adopted children and degraded-mode probes.
+    pub fn descent(&self, cluster: usize, d: u64) -> u64 {
+        self.descent_of_height(self.tree_height[cluster], d)
+    }
+
+    fn descent_of_height(&self, height: u64, d: u64) -> u64 {
+        2 * (height + 1) * d + 2 * self.transit(d)
+    }
+
+    /// One backbone level of an echo: the slowest cluster's descent, the
+    /// batch window, and a fanout/convergecast round trip.
+    fn level(&self, d: u64) -> u64 {
+        self.descent_of_height(self.tallest, d) + BATCH_WINDOW + 2 * self.transit(d)
+    }
+
+    /// Backbone levels below an echo participant in `cluster`: the height
+    /// of its subtree away from the neighbor cluster `from` that fanned out
+    /// to it, else (at the coordinator, `from = None`) its eccentricity.
+    fn echo_height(&self, cluster: usize, from: Option<usize>) -> u64 {
+        from.and_then(|p| {
+            self.backbone_away[cluster]
+                .iter()
+                .find(|&&(q, _)| q == p)
+                .map(|&(_, h)| h)
+        })
+        .unwrap_or(self.backbone_ecc[cluster])
+    }
+
+    /// Echo budget of a participant in `cluster` reached from `from`: one
+    /// level per backbone level it is responsible for, its own included.
+    pub fn echo(&self, cluster: usize, from: Option<usize>, d: u64) -> u64 {
+        (self.echo_height(cluster, from) + 1) * self.level(d)
+    }
+
+    /// Initiator watchdog for a query coordinated in `cluster`: a full echo
+    /// plus its re-issue round, and the routes to and from the coordinator.
+    pub fn watchdog(&self, cluster: usize, d: u64) -> u64 {
+        2 * self.echo(cluster, None, d) + 4 * self.transit(d)
+    }
 }
 
 /// The complete plan plus its distribution bill.

@@ -61,15 +61,15 @@
 //!   travel as routed unicasts.
 
 use crate::gen::{ScriptEntry, Template};
-use crate::plan::{ChildEntry, NodePlan};
+use crate::plan::{ChildEntry, DeadlinePlan, NodePlan};
 use crate::qos::{self, Admission};
 use crate::subscribe::{end_reason, ClientSub, PushVerdict, SubState, TemplateView, WatchState};
 use elink_core::node_table::{merge_runs, FlatMap, FlatSet, NodeHandle, NodeTable};
 use elink_core::slack_conditions_hold;
 use elink_metric::{Feature, Metric};
 use elink_netsim::{
-    canon_f64, Canonicalize, Ctx, Protocol, QueryId, SimTime, QID_SUB_CONTROL, QID_SUB_PUSH,
-    QID_SUB_REPAIR,
+    canon_f64, Canonicalize, Ctx, Protocol, QueryId, SimTime, TimerToken, QID_SUB_CONTROL,
+    QID_SUB_PUSH, QID_SUB_REPAIR,
 };
 use elink_query::{cluster_decision, descend_decision, ClusterDecision, DescendDecision};
 use elink_topology::{NodeId, Topology};
@@ -103,11 +103,59 @@ const SUB_PUSH_RETRY: u64 = 1 << 50;
 /// Mask extracting a deadline timer's payload (qid, sid or template index).
 const DEADLINE_PAYLOAD: u64 = ECHO_DEADLINE - 1;
 
+/// A recovery deadline or retransmit timer, named by the wave it guards.
+/// All five kinds share one arm/fire path ([`ServeNode::arm`],
+/// [`ServeNode::disarm`], [`ServeNode::on_deadline`]): the timer id is the
+/// kind's namespace bit or'd with the payload, and at most one timer per
+/// id is queued at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Deadline {
+    /// Initiator watchdog of a query.
+    Init(QueryId),
+    /// Echo deadline of a query at an echo participant.
+    Echo(QueryId),
+    /// Descent deadline of a template at the node that launched it.
+    Eval(u16),
+    /// Contribution retransmit of a template at a watcher root.
+    SubContrib(u16),
+    /// Push retransmit of a subscription at its coordinator.
+    SubPush(u64),
+}
+
+impl Deadline {
+    fn timer_id(self) -> u64 {
+        match self {
+            Deadline::Init(qid) => INIT_DEADLINE | qid,
+            Deadline::Echo(qid) => ECHO_DEADLINE | qid,
+            Deadline::Eval(template) => EVAL_DEADLINE | u64::from(template),
+            Deadline::SubContrib(template) => SUB_CONTRIB_RETRY | u64::from(template),
+            Deadline::SubPush(sid) => SUB_PUSH_RETRY | sid,
+        }
+    }
+
+    fn from_timer(id: u64) -> Option<Deadline> {
+        let payload = id & DEADLINE_PAYLOAD;
+        if id & INIT_DEADLINE != 0 {
+            Some(Deadline::Init(payload))
+        } else if id & EVAL_DEADLINE != 0 {
+            Some(Deadline::Eval(payload as u16))
+        } else if id & ECHO_DEADLINE != 0 {
+            Some(Deadline::Echo(payload))
+        } else if id & SUB_PUSH_RETRY != 0 {
+            Some(Deadline::SubPush(payload))
+        } else if id & SUB_CONTRIB_RETRY != 0 {
+            Some(Deadline::SubContrib(payload as u16))
+        } else {
+            None
+        }
+    }
+}
+
 /// Ticks a cluster root holds a missed template before descending, so
 /// near-simultaneous same-template queries share the descent. Zero still
 /// batches same-tick arrivals (the flush timer fires after all deliveries
 /// already queued for the current tick).
-const BATCH_WINDOW: SimTime = 0;
+pub(crate) const BATCH_WINDOW: SimTime = 0;
 
 /// The maintenance slack Δ handed to the §6 absorption rule is δ divided
 /// by this: Δ = δ/4.
@@ -146,10 +194,9 @@ pub struct Shared {
     /// Backbone-adjacent original leaders per cluster (plan-time snapshot);
     /// a successor inherits the dead leader's backbone seat from this.
     pub backbone_peers_of: Vec<Vec<NodeId>>,
-    /// Network diameter in hops — deadline bounds scale with it.
-    pub diameter: u64,
-    /// Number of clusters (echo-tree depth bound for deadline sizing).
-    pub n_clusters: usize,
+    /// Cluster-tree heights, backbone heights and the diameter: what every
+    /// recovery deadline is sized from.
+    pub deadlines: DeadlinePlan,
     /// Whether the load-admission ladder ([`qos::admit_load`]) gates work
     /// entering the system. Off, every submission and registration is
     /// admitted in full (the table-occupancy ladder still applies).
@@ -223,8 +270,9 @@ pub enum ServeMsg {
     AggUp {
         /// Template index.
         template: u16,
-        /// Matches within the sender's subtree.
-        matches: Vec<NodeId>,
+        /// Matches within the sender's subtree, ascending. Shared with the
+        /// sender's cache, so a cached answer is sent without a copy.
+        matches: Arc<[NodeId]>,
         /// Nodes whose membership in the answer this subtree determined.
         covered: u64,
     },
@@ -405,8 +453,10 @@ struct EvalState {
     /// outstanding. Answers from nodes not listed here are late duplicates
     /// and are ignored.
     outstanding: Vec<NodeId>,
-    /// Matches accumulated so far.
-    acc: Vec<NodeId>,
+    /// Matches found so far, as disjoint ascending runs: this node's own
+    /// id, `IncludeAll` subtree slices, and each child's or probed
+    /// member's answer. Merged once, at completion.
+    runs: Vec<Arc<[NodeId]>>,
     /// Nodes whose membership the descent has determined so far.
     covered: u64,
     /// Invalidation epoch at eval start — a stale epoch at completion
@@ -425,7 +475,7 @@ impl EvalState {
             riders,
             launched: false,
             outstanding: Vec::new(),
-            acc: Vec::new(),
+            runs: Vec::new(),
             covered: 0,
             epoch0,
             partial: false,
@@ -475,8 +525,9 @@ struct PendingQuery {
 
 /// Outcome of a cluster root's local evaluation attempt.
 enum LocalEval {
-    /// The local cluster answer is known now: (matches, covered nodes).
-    Resolved(Vec<NodeId>, u64),
+    /// The local cluster answer is known now: (matches, covered nodes);
+    /// `None` matches nothing.
+    Resolved(Option<Arc<[NodeId]>>, u64),
     /// A descent is in flight; the query rides it.
     Pending,
 }
@@ -526,7 +577,8 @@ pub struct ServeNode {
     /// `adopted`.
     nodes: NodeTable,
     /// Per-template cached subtree answers with their covered-node count.
-    cache: FlatMap<u16, (Vec<NodeId>, u64)>,
+    /// A hit shares the answer instead of copying it.
+    cache: FlatMap<u16, (Arc<[NodeId]>, u64)>,
     /// Single-flight descents, keyed by template.
     evals: FlatMap<u16, EvalState>,
     /// Echo states for queries this root participates in.
@@ -552,6 +604,10 @@ pub struct ServeNode {
     completed: Vec<CompletedQuery>,
     /// Standing-subscription state (client, coordinator and watcher roles).
     subs: SubState,
+    /// The queued timer of every armed [`Deadline`], by timer id, so a
+    /// finished wave can cancel it. Scheduler bookkeeping, not protocol
+    /// state: left out of [`Canonicalize`].
+    armed: FlatMap<u64, TimerToken>,
 }
 
 /// Mutation hook for the model checker's smoke test: when set, the `Adopt`
@@ -646,6 +702,7 @@ impl ServeNode {
             script: script.into(),
             completed: Vec::new(),
             subs: SubState::default(),
+            armed: FlatMap::new(),
         }
     }
 
@@ -656,30 +713,76 @@ impl ServeNode {
     // `Ctx::max_delivery_delay`) the guarded wave always completes before
     // its deadline, so a deadline firing against live state implies a
     // crash or partition. That is what keeps lossy answers identical to
-    // loss-free ones while still bounding every fault.
+    // loss-free ones while still bounding every fault. The budgets are read
+    // off the deploy-time plan ([`DeadlinePlan`], DESIGN.md §10.2): a
+    // descent's from its cluster tree's height, an echo's from the height of
+    // the backbone subtree it answers for. A child's echo budget plus one
+    // transit stays below its parent's, so a forced-partial `BackAgg`
+    // reaches the parent before the parent gives up.
 
     /// Worst-case one-way transit of a single routed (multi-hop) message.
     fn transit_bound(&self, ctx: &Ctx<'_, ServeMsg>) -> u64 {
-        (self.shared.diameter + 1) * ctx.max_delivery_delay()
+        self.shared.deadlines.transit(ctx.max_delivery_delay())
     }
 
-    /// Descent bound: down and up a cluster tree of at most `n` edges, plus
-    /// a degraded-mode probe round trip.
+    /// Descent budget: down and up this node's cluster tree, plus a routed
+    /// round trip for adopted children and degraded-mode probes.
     fn eval_deadline_ticks(&self, ctx: &Ctx<'_, ServeMsg>) -> u64 {
-        2 * (ctx.n() as u64 + 1) * ctx.max_delivery_delay() + 2 * self.transit_bound(ctx)
+        let cluster = self.shared.cluster_of[self.id];
+        self.shared
+            .deadlines
+            .descent(cluster, ctx.max_delivery_delay())
     }
 
-    /// Echo bound: the backbone tree has at most `n_clusters` levels, each
-    /// costing a batch window, a local descent and a fanout/convergecast
-    /// round trip.
-    fn echo_deadline_ticks(&self, ctx: &Ctx<'_, ServeMsg>) -> u64 {
-        (self.shared.n_clusters as u64 + 1)
-            * (self.eval_deadline_ticks(ctx) + BATCH_WINDOW + 2 * self.transit_bound(ctx))
+    /// Echo budget of this participant for a fanout from `parent` (`None`
+    /// at the coordinator): one level per backbone level below it.
+    fn echo_deadline_ticks(&self, parent: Option<NodeId>, ctx: &Ctx<'_, ServeMsg>) -> u64 {
+        let shared = &self.shared;
+        let from = parent.map(|p| shared.cluster_of[p]);
+        shared
+            .deadlines
+            .echo(shared.cluster_of[self.id], from, ctx.max_delivery_delay())
     }
 
-    /// Initiator watchdog: a full echo plus its re-issue round plus routing.
+    /// Initiator watchdog: a full echo from this node's cluster plus its
+    /// re-issue round plus routing.
     fn init_deadline_ticks(&self, ctx: &Ctx<'_, ServeMsg>) -> u64 {
-        2 * self.echo_deadline_ticks(ctx) + 4 * self.transit_bound(ctx)
+        let cluster = self.shared.cluster_of[self.id];
+        self.shared
+            .deadlines
+            .watchdog(cluster, ctx.max_delivery_delay())
+    }
+
+    /// Arms `deadline` to fire after `ticks`, cancelling any timer already
+    /// armed under the same id.
+    fn arm(&mut self, deadline: Deadline, ticks: u64, ctx: &mut Ctx<'_, ServeMsg>) {
+        let id = deadline.timer_id();
+        let token = ctx.set_timer(ticks, id);
+        if let Some(old) = self.armed.insert(id, token) {
+            ctx.cancel_timer(old);
+        }
+    }
+
+    /// Cancels `deadline` if it is armed: the wave it guards finished.
+    fn disarm(&mut self, deadline: Deadline, ctx: &mut Ctx<'_, ServeMsg>) {
+        if let Some(token) = self.armed.remove(&deadline.timer_id()) {
+            ctx.cancel_timer(token);
+        }
+    }
+
+    /// A deadline fired. Outside capture mode it is the one armed under its
+    /// id (re-arming and finishing both cancel); the handlers still check
+    /// that their wave is live, because the model checker's capture mode
+    /// cancels nothing.
+    fn on_deadline(&mut self, deadline: Deadline, ctx: &mut Ctx<'_, ServeMsg>) {
+        self.armed.remove(&deadline.timer_id());
+        match deadline {
+            Deadline::Init(qid) => self.on_init_deadline(qid, ctx),
+            Deadline::Echo(qid) => self.on_echo_deadline(qid, ctx),
+            Deadline::Eval(template) => self.on_eval_deadline(template, ctx),
+            Deadline::SubContrib(template) => self.on_contrib_retry(template, ctx),
+            Deadline::SubPush(sid) => self.on_push_retry(sid, ctx),
+        }
     }
 
     /// This node's id.
@@ -719,8 +822,10 @@ impl ServeNode {
 
     /// The cached subtree answer for `template`, if any: `(matches,
     /// covered-node count)`.
-    pub fn cached(&self, template: u16) -> Option<&(Vec<NodeId>, u64)> {
-        self.cache.get(&template)
+    pub fn cached(&self, template: u16) -> Option<(&[NodeId], u64)> {
+        self.cache
+            .get(&template)
+            .map(|(m, covered)| (&m[..], *covered))
     }
 
     /// The node's live serving plan (M-tree entries, covering radius,
@@ -820,7 +925,7 @@ impl ServeNode {
             // initiator also arms a watchdog in case the root dies on us.
             if self.shared.recovery {
                 let dl = self.init_deadline_ticks(ctx);
-                ctx.set_timer(dl, INIT_DEADLINE | qid);
+                self.arm(Deadline::Init(qid), dl, ctx);
             }
         } else {
             self.pending.remove(&qid);
@@ -864,7 +969,7 @@ impl ServeNode {
                     qid,
                 );
                 let dl = self.init_deadline_ticks(ctx);
-                ctx.set_timer(dl, INIT_DEADLINE | qid);
+                self.arm(Deadline::Init(qid), dl, ctx);
             }
         } else {
             ctx.metrics().inc("wl.recover.query_gaveup");
@@ -1029,8 +1134,8 @@ impl ServeNode {
         };
         match self.local_cluster_eval(qid, template, ctx) {
             LocalEval::Resolved(m, covered) => {
-                if !m.is_empty() {
-                    st.acc.push(m.into());
+                if let Some(m) = m.filter(|m| !m.is_empty()) {
+                    st.acc.push(m);
                 }
                 st.covered += covered;
             }
@@ -1038,8 +1143,8 @@ impl ServeNode {
         }
         self.echo.insert(qid, st);
         if shared.recovery {
-            let dl = self.echo_deadline_ticks(ctx);
-            ctx.set_timer(dl, ECHO_DEADLINE | qid);
+            let dl = self.echo_deadline_ticks(parent, ctx);
+            self.arm(Deadline::Echo(qid), dl, ctx);
         }
         self.maybe_finish_echo(qid, ctx);
     }
@@ -1061,9 +1166,9 @@ impl ServeNode {
             }
         };
         if reissue {
-            let (template, outstanding) = {
+            let (template, outstanding, parent) = {
                 let st = self.echo.get(&qid).expect("checked above");
-                (st.template, st.outstanding.clone())
+                (st.template, st.outstanding.clone(), st.parent)
             };
             ctx.metrics().inc("wl.recover.reissue");
             let shared = Arc::clone(&self.shared);
@@ -1078,8 +1183,8 @@ impl ServeNode {
                     );
                 }
             }
-            let dl = self.echo_deadline_ticks(ctx);
-            ctx.set_timer(dl, ECHO_DEADLINE | qid);
+            let dl = self.echo_deadline_ticks(parent, ctx);
+            self.arm(Deadline::Echo(qid), dl, ctx);
         } else {
             let st = self.echo.remove(&qid).expect("checked above");
             ctx.metrics().inc("wl.recover.echo_gaveup");
@@ -1111,16 +1216,16 @@ impl ServeNode {
         match decision {
             ClusterDecision::Exclude => {
                 ctx.metrics().inc("wl.cluster.exclude");
-                LocalEval::Resolved(Vec::new(), full)
+                LocalEval::Resolved(None, full)
             }
             ClusterDecision::IncludeAll => {
                 ctx.metrics().inc("wl.cluster.include_all");
-                LocalEval::Resolved(self.plan.members.clone(), full)
+                LocalEval::Resolved(Some(self.plan.members.as_slice().into()), full)
             }
             ClusterDecision::Drill => {
                 if let Some((hit, covered)) = self.cache.get(&template) {
                     ctx.metrics().inc("wl.cache.hit");
-                    return LocalEval::Resolved(hit.clone(), *covered);
+                    return LocalEval::Resolved(Some(Arc::clone(hit)), *covered);
                 }
                 if let Some(ev) = self.evals.get_mut(&template) {
                     ev.riders.push(qid);
@@ -1157,6 +1262,7 @@ impl ServeNode {
     /// that of the merged list.
     // simlint: hot
     fn finish_echo(&mut self, qid: QueryId, st: EchoState, ctx: &mut Ctx<'_, ServeMsg>) {
+        self.disarm(Deadline::Echo(qid), ctx);
         if let Some(p) = st.parent {
             let scalars = st.acc.iter().map(|r| r.len() as u64).sum::<u64>() + 1;
             ctx.unicast_tagged(
@@ -1207,7 +1313,7 @@ impl ServeNode {
         ev.launched = true;
         ev.covered += 1;
         if node_matches(d_node, r, strict) {
-            ev.acc.push(self.id);
+            ev.runs.push(Arc::new([self.id]));
         }
         for entry in &self.plan.entries {
             let d_pc = shared.metric.distance(&self.anchor, &entry.feature);
@@ -1218,7 +1324,7 @@ impl ServeNode {
                 }
                 DescendDecision::IncludeAll => {
                     ctx.metrics().inc("wl.mtree.include_all");
-                    ev.acc.extend_from_slice(&entry.subtree);
+                    ev.runs.push(entry.subtree.as_slice().into());
                     ev.covered += entry.subtree.len() as u64;
                 }
                 DescendDecision::Descend => {
@@ -1297,7 +1403,7 @@ impl ServeNode {
         } else {
             if shared.recovery {
                 let dl = self.eval_deadline_ticks(ctx);
-                ctx.set_timer(dl, EVAL_DEADLINE | u64::from(template));
+                self.arm(Deadline::Eval(template), dl, ctx);
             }
             self.evals.insert(template, ev);
         }
@@ -1360,7 +1466,7 @@ impl ServeNode {
                 self.complete_eval(template, ev, ctx);
             } else {
                 let dl = self.eval_deadline_ticks(ctx);
-                ctx.set_timer(dl, EVAL_DEADLINE | u64::from(template));
+                self.arm(Deadline::Eval(template), dl, ctx);
             }
         } else {
             let mut ev = self.evals.remove(&template).expect("checked above");
@@ -1375,14 +1481,21 @@ impl ServeNode {
     /// went stale mid-flight or the result is partial), then answer upward
     /// or resolve echo riders.
     fn complete_eval(&mut self, template: u16, mut ev: EvalState, ctx: &mut Ctx<'_, ServeMsg>) {
-        ev.acc.sort_unstable();
-        ev.acc.dedup();
+        self.disarm(Deadline::Eval(template), ctx);
+        // The runs are disjoint (this node, and subtrees that partition
+        // the rest of its scope), so one merge replaces sort and dedup; a
+        // single run is the answer as it is.
+        let matches: Arc<[NodeId]> = match ev.runs.as_slice() {
+            [run] => Arc::clone(run),
+            runs => merge_runs(runs.iter().map(|r| &r[..])).into(),
+        };
         let stale = ev.epoch0 != self.inval_epoch;
         if stale || ev.partial {
             ctx.metrics().inc("wl.cache.skip_fill");
         } else if self.shared.cache_enabled {
             ctx.metrics().inc("wl.cache.fill");
-            self.cache.insert(template, (ev.acc.clone(), ev.covered));
+            self.cache
+                .insert(template, (Arc::clone(&matches), ev.covered));
         }
         // Subscription repair riders resolve at the cluster root only
         // (internal nodes carry them for attribution). A repair that raced
@@ -1393,13 +1506,13 @@ impl ServeNode {
             if stale {
                 self.repair_went_stale(template, ctx);
             } else {
-                self.finish_repair(template, ev.acc.clone(), ev.covered, ctx);
+                self.finish_repair(template, &matches, ev.covered, ctx);
             }
             if ev.riders.is_empty() {
                 return;
             }
         }
-        self.reply_subtree(template, &ev.riders, ev.acc, ev.covered, ctx);
+        self.reply_subtree(template, &ev.riders, matches, ev.covered, ctx);
     }
 
     /// Sends a subtree answer to the parent (internal nodes) or resolves
@@ -1409,7 +1522,7 @@ impl ServeNode {
         &mut self,
         template: u16,
         riders: &[QueryId],
-        matches: Vec<NodeId>,
+        matches: Arc<[NodeId]>,
         covered: u64,
         ctx: &mut Ctx<'_, ServeMsg>,
     ) {
@@ -1436,13 +1549,12 @@ impl ServeNode {
             ctx.metrics()
                 .add("wl.batch.riders", riders.len() as u64 - 1);
         } else {
-            // One shared run for every rider's echo: the answer is copied
-            // once per descent, not once per rider.
-            let run: Option<Arc<[NodeId]>> = (!matches.is_empty()).then(|| matches.into());
+            // One shared run for every rider's echo (and the cache): the
+            // answer is never copied per rider.
             for &qid in riders {
                 if let Some(st) = self.echo.get_mut(&qid) {
-                    if let Some(run) = &run {
-                        st.acc.push(Arc::clone(run));
+                    if !matches.is_empty() {
+                        st.acc.push(Arc::clone(&matches));
                     }
                     st.covered += covered;
                     st.local_pending = false;
@@ -1571,6 +1683,7 @@ impl ServeNode {
         let Some(p) = self.pending.remove(&qid) else {
             return;
         };
+        self.disarm(Deadline::Init(qid), ctx);
         let (template, submitted) = (p.template, p.submitted);
         let path = match &self.shared.templates[template as usize] {
             Template::Range { .. } => None,
@@ -1888,7 +2001,9 @@ impl ServeNode {
         ctx.metrics().inc("wl.sub.repair");
         let rider = QID_SUB_REPAIR | u64::from(template);
         match self.local_cluster_eval(rider, template, ctx) {
-            LocalEval::Resolved(m, covered) => self.finish_repair(template, m, covered, ctx),
+            LocalEval::Resolved(m, covered) => {
+                self.finish_repair(template, m.as_deref().unwrap_or_default(), covered, ctx)
+            }
             LocalEval::Pending => {}
         }
     }
@@ -1917,7 +2032,7 @@ impl ServeNode {
     fn finish_repair(
         &mut self,
         template: u16,
-        matches: Vec<NodeId>,
+        matches: &[NodeId],
         covered: u64,
         ctx: &mut Ctx<'_, ServeMsg>,
     ) {
@@ -1927,12 +2042,14 @@ impl ServeNode {
                 return;
             };
             w.repairing = false;
-            let fresh = (matches, covered);
-            let changed = w.last.as_ref() != Some(&fresh);
+            let changed = w
+                .last
+                .as_ref()
+                .is_none_or(|(m, c)| (&m[..], *c) != (matches, covered));
             let resched = w.dirty;
             if changed {
                 w.cseq += 1;
-                w.last = Some(fresh);
+                w.last = Some((matches.to_vec(), covered));
                 if shared.recovery {
                     w.unacked = w.coords.iter().copied().filter(|&c| c != self.id).collect();
                     w.retries = 0;
@@ -2015,7 +2132,7 @@ impl ServeNode {
         };
         if !w.retry_armed && !w.unacked.is_empty() {
             w.retry_armed = true;
-            ctx.set_timer(dl, SUB_CONTRIB_RETRY | u64::from(template));
+            self.arm(Deadline::SubContrib(template), dl, ctx);
         }
     }
 
@@ -2194,7 +2311,7 @@ impl ServeNode {
         );
         if shared.recovery {
             let dl = self.sub_rt_deadline(ctx);
-            ctx.set_timer(dl, SUB_PUSH_RETRY | sid);
+            self.arm(Deadline::SubPush(sid), dl, ctx);
         }
     }
 
@@ -2236,7 +2353,7 @@ impl ServeNode {
                     QID_SUB_PUSH | sid,
                 );
                 let dl = self.sub_rt_deadline(ctx);
-                ctx.set_timer(dl, SUB_PUSH_RETRY | sid);
+                self.arm(Deadline::SubPush(sid), dl, ctx);
             }
             None => {
                 self.subs.table.remove(&sid);
@@ -2307,11 +2424,13 @@ impl ServeNode {
     /// Coordinator: a push was confirmed.
     fn on_sub_ack(&mut self, sid: u64, version: u64, ctx: &mut Ctx<'_, ServeMsg>) {
         let now = ctx.now();
-        if let Some(e) = self.subs.table.get_mut(&sid) {
-            e.last_active = now;
-            if e.confirm(version) {
-                e.retries = 0;
-            }
+        let Some(e) = self.subs.table.get_mut(&sid) else {
+            return;
+        };
+        e.last_active = now;
+        if e.confirm(version) {
+            e.retries = 0;
+            self.disarm(Deadline::SubPush(sid), ctx);
         }
     }
 
@@ -2532,7 +2651,7 @@ impl Protocol for ServeNode {
             ServeMsg::Descend { template, riders } => {
                 if let Some((hit, covered)) = self.cache.get(&template) {
                     ctx.metrics().inc("wl.cache.hit");
-                    let (matches, covered) = (hit.clone(), *covered);
+                    let (matches, covered) = (Arc::clone(hit), *covered);
                     self.reply_subtree(template, &riders, matches, covered, ctx);
                 } else if let Some(ev) = self.evals.get_mut(&template) {
                     // Single-flight per template: a duplicate descent (e.g.
@@ -2561,7 +2680,9 @@ impl Protocol for ServeNode {
                     return;
                 };
                 ev.outstanding.remove(pos);
-                ev.acc.extend_from_slice(&matches);
+                if !matches.is_empty() {
+                    ev.runs.push(matches);
+                }
                 ev.covered += covered;
                 if ev.launched && ev.outstanding.is_empty() {
                     let ev = self.evals.remove(&template).expect("just seen");
@@ -2577,10 +2698,10 @@ impl Protocol for ServeNode {
                 let shared = Arc::clone(&self.shared);
                 let (center, r, strict) = params(&shared.templates[template as usize]);
                 let d = shared.metric.distance(center, &self.anchor);
-                let matches = if node_matches(d, r, strict) {
-                    vec![self.id]
+                let matches: Arc<[NodeId]> = if node_matches(d, r, strict) {
+                    Arc::new([self.id])
                 } else {
-                    Vec::new()
+                    Arc::new([])
                 };
                 let scalars = matches.len() as u64 + 1;
                 ctx.unicast(
@@ -2734,16 +2855,8 @@ impl Protocol for ServeNode {
             if let Some(e) = self.script.pop_front() {
                 self.submit(e.qid, e.template, ctx);
             }
-        } else if timer & INIT_DEADLINE != 0 {
-            self.on_init_deadline(timer & DEADLINE_PAYLOAD, ctx);
-        } else if timer & EVAL_DEADLINE != 0 {
-            self.on_eval_deadline((timer & DEADLINE_PAYLOAD) as u16, ctx);
-        } else if timer & ECHO_DEADLINE != 0 {
-            self.on_echo_deadline(timer & DEADLINE_PAYLOAD, ctx);
-        } else if timer & SUB_PUSH_RETRY != 0 {
-            self.on_push_retry(timer & DEADLINE_PAYLOAD, ctx);
-        } else if timer & SUB_CONTRIB_RETRY != 0 {
-            self.on_contrib_retry((timer & DEADLINE_PAYLOAD) as u16, ctx);
+        } else if let Some(deadline) = Deadline::from_timer(timer) {
+            self.on_deadline(deadline, ctx);
         } else if timer & SUB_REPAIR != 0 {
             self.on_sub_repair_timer((timer & DEADLINE_PAYLOAD) as u16, ctx);
         } else if timer & SUB_FLUSH != 0 {
